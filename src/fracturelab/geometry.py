@@ -521,6 +521,13 @@ class CutTopology:
         return a, b
 
 
+def _same_lattice(a: Grid, b: Grid) -> bool:
+    """Same rectangle and cell counts, so edge ids name the same edges."""
+    ra = (a.domain.x0, a.domain.y0, a.domain.x1, a.domain.y1, a.nx, a.ny)
+    rb = (b.domain.x0, b.domain.y0, b.domain.x1, b.domain.y1, b.nx, b.ny)
+    return ra == rb
+
+
 def cut_grid(grid: Grid, crack: CrackSet = None) -> CutTopology:
     """Connectivity with nodes duplicated per side of each crack edge.
 
@@ -528,7 +535,7 @@ def cut_grid(grid: Grid, crack: CrackSet = None) -> CutTopology:
     """
     if crack is None:
         crack = CrackSet(grid)
-    if crack.grid is not grid and crack.grid.h != grid.h:
+    if crack.grid is not grid and not _same_lattice(crack.grid, grid):
         raise NonConformingCrack("crack was built on a different grid")
     return CutTopology(grid, crack)
 

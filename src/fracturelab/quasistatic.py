@@ -78,23 +78,22 @@ def evolve(landscape: EnergyLandscape, family: CrackFamily, k: float,
     v_grad = v_field.gradients()
     xc, yc = grid.cell_centers()
     h2 = grid.h ** 2
-    wdot_cache = {}
-    unit_values = {}
+    wdot_unit = {}      # crack edge-set -> external power at unit datum
+    unit_values = {}    # chosen crack edge-set -> unit-datum dof values
+    step_values = {}    # the current step's candidates -> unit-datum dof values
 
     # pairing the stress with the uncracked unit field equals pairing with any
-    # lift of the datum, because their difference is an admissible variation
-    def wdot_unit(crack: CrackSet) -> float:
-        key = crack.edges
-        if key not in wdot_cache:
-            fld = landscape.solve_field(crack)
-            sig = integrand.grad_f(xc, yc, fld.gradients())
-            wdot_cache[key] = h2 * float(np.einsum("ci,ci->", sig, v_grad))
-            unit_values[key] = fld.values
-        return wdot_cache[key]
+    # lift of the datum, because their difference is an admissible variation.
+    # Called from bulk_many's worker threads: each call stores its own keys.
+    def record(crack: CrackSet, fld):
+        sig = integrand.grad_f(xc, yc, fld.gradients())
+        wdot_unit[crack.edges] = h2 * float(np.einsum("ci,ci->", sig, v_grad))
+        step_values[crack.edges] = fld.values
 
-    times = np.linspace(0.0, horizon, steps + 1)
     crack = landscape.empty_crack
-    wdot_unit(crack)
+    record(crack, v_field)
+    unit_values[crack.edges] = v_field.values
+    times = np.linspace(0.0, horizon, steps + 1)
     cracks = [crack]
     h1s = [0.0]
     bulks = [0.0]
@@ -109,14 +108,24 @@ def evolve(landscape: EnergyLandscape, family: CrackFamily, k: float,
             if u.edges not in seen:
                 seen.add(u.edges)
                 cands.append(u)
-        unit_bulks = landscape.bulk_many(cands, workers)
+        # a candidate stays one at every later step for as long as it contains
+        # the chosen crack, so carrying the values of the candidates forward
+        # from step to step covers every later pick
+        kept = {c.edges: step_values[c.edges] for c in cands if c.edges in step_values}
+        step_values.clear()
+        step_values.update(kept)
+        unit_bulks = landscape.bulk_many(cands, workers, on_field=record)
         totals = [t ** p * b + k * c.h1() for b, c in zip(unit_bulks, cands)]
         pick = argmin_with_tolerance(totals)
         crack = cands[pick]
+        if crack.edges not in step_values:
+            # energy cached before evolve began
+            record(crack, landscape.solve_field(crack))
+        unit_values.setdefault(crack.edges, step_values[crack.edges])
         cracks.append(crack)
         h1s.append(crack.h1())
         bulks.append(t ** p * unit_bulks[pick])
-        power = t ** (p - 1.0) * wdot_unit(crack)
+        power = t ** (p - 1.0) * wdot_unit[crack.edges]
         works.append(works[-1] + 0.5 * (times[j] - times[j - 1]) * (power_prev + power))
         power_prev = power
 

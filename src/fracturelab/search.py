@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EmptyFamily, InvalidProbe
 from .geometry import CrackSet, Grid
-from .solver import bulk_energy, solve
+from .solver import solve
 
 ARGMIN_RTOL = 1e-9
 
@@ -58,18 +58,25 @@ class EnergyLandscape:
         self.empty_crack = CrackSet(grid)
 
     def solve_field(self, crack: CrackSet = None):
-        fld, _ = solve(self.grid, self.integrand, self.psi,
-                       crack or self.empty_crack, tol=self.tol)
+        """Solve for one crack; its bulk energy is cached as a by-product."""
+        crack = crack or self.empty_crack
+        fld, report = solve(self.grid, self.integrand, self.psi, crack, tol=self.tol)
+        self._bulk[crack.edges] = report.bulk_energy
         return fld
 
     def bulk(self, crack: CrackSet = None) -> float:
         crack = crack or self.empty_crack
-        key = crack.edges
-        if key not in self._bulk:
-            self._bulk[key] = bulk_energy(self.solve_field(crack))
-        return self._bulk[key]
+        if crack.edges not in self._bulk:
+            self.solve_field(crack)
+        return self._bulk[crack.edges]
 
-    def bulk_many(self, cracks, workers: int = 1):
+    def bulk_many(self, cracks, workers: int = 1, on_field=None):
+        """Bulk energies of cracks, solving each uncached edge set once.
+
+        on_field(crack, field), when given, is called with every field solved
+        here, from the worker threads when workers > 1; fields are dropped
+        after it returns.
+        """
         cracks = list(cracks)
         missing = []
         seen = set()
@@ -77,10 +84,13 @@ class EnergyLandscape:
             if c.edges not in self._bulk and c.edges not in seen:
                 seen.add(c.edges)
                 missing.append(c)
-        results = ordered_map(lambda c: bulk_energy(self.solve_field(c)),
-                              missing, workers)
-        for c, val in zip(missing, results):
-            self._bulk[c.edges] = val
+
+        def run(crack):
+            fld = self.solve_field(crack)
+            if on_field is not None:
+                on_field(crack, fld)
+
+        ordered_map(run, missing, workers)
         return [self._bulk[c.edges] for c in cracks]
 
 

@@ -212,6 +212,18 @@ def test_nonconforming_crack_raises(unit_grid_16):
         CrackSet(unit_grid_16, [("d", 1, 1)])
 
 
+def test_crack_from_another_grid_with_same_h_raises():
+    # same h, different rectangle and counts: edge ids name other edges
+    wide = Grid(Domain.rectangle(0.0, 0.0, 2.0, 1.0), 64, 32)
+    square = Grid(Domain.unit_square(), 32)
+    assert wide.h == square.h
+    with pytest.raises(NonConformingCrack):
+        cut_grid(square, hslit(wide, 8, 16, 16))
+    # an equal lattice built separately is accepted
+    twin = Grid(Domain.unit_square(dirichlet=("left", "right")), 32)
+    assert cut_grid(square, hslit(twin, 8, 16, 16)).n_duplicates == 15
+
+
 # --- crack files ---------------------------------------------------------------
 
 

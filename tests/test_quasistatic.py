@@ -1,8 +1,11 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
+from fracturelab.config import load_config
 from fracturelab.energy import laplace_integrand, meyers_integrand, ppower_integrand
 from fracturelab.errors import InsufficientData
 from fracturelab.geometry import Domain, Grid
@@ -190,3 +193,48 @@ def test_load_horizon_constant_datum_infinite():
     hor = load_horizon(grid, laplace_integrand(), lambda x, y: 4.0, k=1.0)
     assert math.isinf(hor.t_weighted)
     assert math.isinf(hor.t_unit)
+
+
+@pytest.mark.parametrize("name, distinct", [("weak_evolve.ini", 37), ("meyers_evolve.ini", 13)])
+def test_evolve_solves_each_crack_once(monkeypatch, name, distinct):
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
+    grid = cfg.build_grid()
+    land = EnergyLandscape(grid, cfg.build_integrand(), cfg.build_datum(), tol=cfg.tol())
+    solved = []
+    solve_field = EnergyLandscape.solve_field
+
+    def counting(self, crack=None):
+        solved.append((crack or self.empty_crack).edges)
+        return solve_field(self, crack)
+
+    monkeypatch.setattr(EnergyLandscape, "solve_field", counting)
+    traj = evolve(land, cfg.build_family(grid), cfg.get_float("evolve", "k"),
+                  cfg.get_float("evolve", "horizon"), cfg.get_int("evolve", "steps"))
+    assert len(set(solved)) == distinct
+    assert len(solved) == distinct
+    # the stored displacement of a chosen crack is its unit-datum solve
+    j = int(np.argmax(traj.h1))
+    assert traj.h1[j] > 0
+    v = solve_field(land, traj.cracks[j]).values
+    assert np.array_equal(traj.displacement(j), traj.t[j] * v)
+
+
+def test_evolve_threads_share_the_landscape_safely():
+    # worker threads store energies, powers and fields into shared dicts;
+    # frequent switches make a lost store show as a missing or wrong entry
+    land1 = weak_landscape(32)
+    traj1 = evolve(land1, weak_family(land1.grid), k=0.5, horizon=1.5, steps=40)
+    land4 = weak_landscape(32)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        traj4 = evolve(land4, weak_family(land4.grid), k=0.5, horizon=1.5, steps=40,
+                       workers=4)
+    finally:
+        sys.setswitchinterval(old)
+    assert traj4.h1.max() > 0
+    for name in ("h1", "bulk", "work", "balance_residual"):
+        assert np.array_equal(getattr(traj4, name), getattr(traj1, name))
+    assert land4._bulk == land1._bulk
+    for j in range(len(traj4.t)):
+        assert np.array_equal(traj4.displacement(j), traj1.displacement(j))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fracturelab.energy import laplace_integrand, meyers_integrand, ppower_integrand
-from fracturelab.errors import SingularSystem
+from fracturelab.errors import ConfigError, SingularSystem
 from fracturelab.geometry import Domain, Grid, cut_grid
 from fracturelab.solver import (
     bulk_energy,
@@ -164,3 +164,14 @@ def test_field_from_function_branches_across_slit():
     (a_m, a_p), _ = topo.edge_side_dofs(("h", 2, 8))
     assert field.values[a_p] == 1.0
     assert field.values[a_m] == -1.0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_nonfinite_datum_rejected_up_front(bad):
+    grid = Grid(Domain.unit_square(), 64)
+    with pytest.raises(ConfigError):
+        solve(grid, laplace_integrand(), lambda x, y: np.full(np.shape(x), bad))
+    # one bad constrained node is enough
+    psi = lambda x, y: np.where(np.asarray(y) == 1.0, bad, np.asarray(x, dtype=float))
+    with pytest.raises(ConfigError):
+        solve(grid, ppower_integrand(1.5), psi)
