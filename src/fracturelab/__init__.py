@@ -2,6 +2,10 @@
 elasticity: elastic states on cracked grids, certified release bounds via
 convex duality, singularity classification, and quasistatic evolutions."""
 
+# the one version literal: report.VERSION and pyproject.toml read it, so it
+# is set before any submodule is imported
+__version__ = "0.1.0"
+
 from .energy import (
     CheckerboardCoefficient,
     ConjugatePair,
@@ -85,5 +89,3 @@ from .poincare import (
     random_profile,
     uniformity_sweep,
 )
-
-__version__ = "0.1.0"

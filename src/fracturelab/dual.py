@@ -265,9 +265,11 @@ def _collar_newton(topology, collar, unknowns, rhs, p, tol, deflate, sigma):
 
     x = np.zeros(len(unknowns))
     # warm start from the p=2 problem
+    nodes = grid.node_ij(topology.dof_node[unknowns])
     ident = np.tile(np.eye(2), (len(collar.cells), 1, 1))
     K2 = assemble_metric(topology, ident, cells=collar.cells)
-    x, _, _ = pcg(K2[unknowns][:, unknowns], rhs, tol=1e-8, deflate=deflate)
+    x, _, _ = pcg(K2[unknowns][:, unknowns], rhs, tol=1e-8, deflate=deflate,
+                  nodes=nodes)
     J, gvec, g = energy_grad(x)
     g0 = max(np.linalg.norm(gvec), 1e-30)
     total = 0
@@ -283,7 +285,7 @@ def _collar_newton(topology, collar, unknowns, rhs, p, tol, deflate, sigma):
         )
         K = assemble_metric(topology, H, cells=collar.cells)
         dx, inner, _ = pcg(K[unknowns][:, unknowns], -gvec, tol=1e-6,
-                           deflate=deflate)
+                           deflate=deflate, nodes=nodes)
         total += inner
         slope = gvec @ dx
         alpha = 1.0

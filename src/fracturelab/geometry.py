@@ -332,7 +332,13 @@ class CrackSet:
         return np.array(sorted(ids), dtype=int)
 
     def union(self, other: "CrackSet"):
-        return CrackSet(self.grid, self.edges | other.edges)
+        """Edges of both cracks; both were checked on this lattice already."""
+        if other.grid is not self.grid and not _same_lattice(other.grid, self.grid):
+            raise NonConformingCrack("union with a crack from a different grid")
+        crack = CrackSet.__new__(CrackSet)
+        crack.grid = self.grid
+        crack.edges = self.edges | other.edges
+        return crack
 
     def sorted_edges(self):
         return sorted(self.edges)

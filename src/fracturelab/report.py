@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 import tempfile
 
-VERSION = "0.1.0"
+from . import __version__ as VERSION
 
 
 def atomic_write(path, text):

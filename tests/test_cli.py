@@ -1,3 +1,4 @@
+import importlib
 import pytest
 
 from fracturelab.cli import main
@@ -175,3 +176,20 @@ resolution = 24
     assert main(["poincare", "--config", cfg, "--out", str(tmp_path / "b"),
                  "--workers", "2"]) == 0
     assert read(tmp_path / "a" / "poincare.csv") == read(tmp_path / "b" / "poincare.csv")
+
+
+def test_one_version_string():
+    import tomllib
+    from pathlib import Path
+
+    import fracturelab
+    from fracturelab import report
+
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as f:
+        meta = tomllib.load(f)
+    assert "version" in meta["project"]["dynamic"]
+    attr = meta["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    module, name = attr.rsplit(".", 1)
+    assert getattr(importlib.import_module(module), name) == fracturelab.__version__
+    assert report.VERSION == fracturelab.__version__

@@ -224,6 +224,29 @@ def test_crack_from_another_grid_with_same_h_raises():
     assert cut_grid(square, hslit(twin, 8, 16, 16)).n_duplicates == 15
 
 
+def test_union_on_one_lattice_skips_edge_validation(monkeypatch):
+    grid = Grid(Domain.unit_square(), 32)
+    twin = Grid(Domain.unit_square(dirichlet=("left", "right")), 32)
+    a, b = hslit(grid, 2, 3, 4), vslit(twin, 10, 5, 3)
+
+    def no_check(self, edge):
+        raise AssertionError("union re-validated an edge")
+
+    monkeypatch.setattr(Grid, "edge_valid", no_check)
+    u = a.union(b)
+    assert u.grid is grid and u.edges == a.edges | b.edges
+    assert len(u) == 7 and u.h1() == pytest.approx(7 * grid.h)
+    monkeypatch.undo()
+    assert u == CrackSet(grid, a.edges | b.edges)
+
+
+def test_union_with_crack_from_another_lattice_raises():
+    wide = Grid(Domain.rectangle(0.0, 0.0, 2.0, 1.0), 64, 32)
+    square = Grid(Domain.unit_square(), 32)
+    with pytest.raises(NonConformingCrack):
+        hslit(square, 2, 3, 4).union(hslit(wide, 8, 16, 16))
+
+
 # --- crack files ---------------------------------------------------------------
 
 

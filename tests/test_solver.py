@@ -175,3 +175,15 @@ def test_nonfinite_datum_rejected_up_front(bad):
     psi = lambda x, y: np.where(np.asarray(y) == 1.0, bad, np.asarray(x, dtype=float))
     with pytest.raises(ConfigError):
         solve(grid, ppower_integrand(1.5), psi)
+
+
+def test_report_counts_inner_cg_iterations(lr_domain):
+    grid = Grid(lr_domain, 64)
+    crack = vslit(grid, 32, 16, 16)
+    _, rep = solve(grid, laplace_integrand(), linear_x, crack)
+    assert rep.method == "cg" and rep.inner_iterations == rep.iterations
+    # the aggregation cycle keeps the Newton inner solves short (123 CG
+    # iterations here, warm start included); Jacobi PCG needs 1061
+    _, rep = solve(grid, ppower_integrand(1.5), linear_x, crack)
+    assert rep.method == "newton" and rep.iterations > 1
+    assert rep.iterations < rep.inner_iterations <= 250
