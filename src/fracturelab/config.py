@@ -142,15 +142,14 @@ class ExperimentConfig:
                 return ppower_integrand(p, coeff)
             except ValueError as exc:
                 raise ConfigError(str(exc), "integrand", "p") from None
-        # quadratic: constant matrix entries, or the radially anisotropic field
+        # quadratic: constant matrix entries (the composite is kind = meyers)
         coeff_kind = self.get("integrand", "coefficient", "constant")
         if coeff_kind == "meyers":
-            K = self.get_float("integrand", "K", required=True)
-            orientation = self.get("integrand", "orientation", "radial_stiff")
-            try:
-                return meyers_integrand(K, orientation)
-            except ValueError as exc:
-                raise ConfigError(str(exc), "integrand", "orientation") from None
+            raise ConfigError("the radially anisotropic composite is kind = meyers, "
+                              "not a kind = quadratic coefficient", "integrand", "coefficient")
+        if coeff_kind != "constant":
+            raise ConfigError(f"unknown coefficient {coeff_kind!r} (kind = quadratic "
+                              "takes constant)", "integrand", "coefficient")
         entries = self.get_floats("integrand", "matrix", required=True)
         if len(entries) not in (2, 3):
             raise ConfigError("matrix needs a11 a22 [a12]", "integrand", "matrix")

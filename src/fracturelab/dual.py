@@ -146,7 +146,8 @@ class Corrector:
     eta: np.ndarray          # (len(cells), 2)
     energy_ratio: float      # int |eta|^q / int |sigma|^q over the collar
     compat_defect: float
-    iterations: int
+    iterations: int          # Newton steps; CG iterations when p = 2
+    inner_iterations: int    # all CG iterations, the Newton warm start included
     v: np.ndarray = field(repr=False, default=None)
 
 
@@ -218,9 +219,10 @@ def corrector(collar: Collar, sigma: np.ndarray, phi: CutoffField, case: str,
         K = assemble_metric(topology, ident, cells=collar.cells)
         Kuu = K[unknowns][:, unknowns]
         x, iters, _ = pcg(Kuu, rhs, tol=tol, deflate=deflate)
+        inner = iters
     else:
-        x, iters = _collar_newton(topology, collar, unknowns, rhs, p, tol,
-                                  deflate, sigma)
+        x, iters, inner = _collar_newton(topology, collar, unknowns, rhs, p, tol,
+                                         deflate, sigma)
 
     v = np.zeros(topology.n_dofs)
     v[unknowns] = x
@@ -235,11 +237,13 @@ def corrector(collar: Collar, sigma: np.ndarray, phi: CutoffField, case: str,
     num = h2 * float(np.sum(np.linalg.norm(eta, axis=1) ** q))
     den = h2 * float(np.sum(np.linalg.norm(sig_c, axis=1) ** q))
     ratio = num / den if den > 0 else 0.0
-    return Corrector(collar, eta, ratio, compat_defect, iters, v)
+    return Corrector(collar, eta, ratio, compat_defect, iters, inner, v)
 
 
 def _collar_newton(topology, collar, unknowns, rhs, p, tol, deflate, sigma):
-    """Damped Newton for J(v) = sum_collar h^2 |grad v|^p / p - rhs . v."""
+    """Damped Newton for J(v) = sum_collar h^2 |grad v|^p / p - rhs . v.
+
+    Returns (x, Newton steps, inner CG iterations)."""
     grid = topology.grid
     h2 = grid.h ** 2
     q = p / (p - 1.0)
@@ -268,11 +272,10 @@ def _collar_newton(topology, collar, unknowns, rhs, p, tol, deflate, sigma):
     nodes = grid.node_ij(topology.dof_node[unknowns])
     ident = np.tile(np.eye(2), (len(collar.cells), 1, 1))
     K2 = assemble_metric(topology, ident, cells=collar.cells)
-    x, _, _ = pcg(K2[unknowns][:, unknowns], rhs, tol=1e-8, deflate=deflate,
-                  nodes=nodes)
+    x, total, _ = pcg(K2[unknowns][:, unknowns], rhs, tol=1e-8, deflate=deflate,
+                      nodes=nodes)
     J, gvec, g = energy_grad(x)
     g0 = max(np.linalg.norm(gvec), 1e-30)
-    total = 0
     stagnant = 0
     for it in range(1, 200 + 1):
         r2 = eps * eps + np.sum(g * g, axis=1)
@@ -299,13 +302,13 @@ def _collar_newton(topology, collar, unknowns, rhs, p, tol, deflate, sigma):
         J, gvec, g = Jn, gn_vec, gn_cells
         gn = np.linalg.norm(gvec)
         if dec <= tol * (1.0 + abs(J)) and gn <= 1e-7 * g0:
-            return x, it
+            return x, it, total
         # floating-point floor: the energy stops moving while the gradient sits
         # just above the relative target; the assembled-tau residual check is
         # the authoritative gate downstream
         stagnant = stagnant + 1 if dec <= 1e-15 * (1.0 + abs(J)) else 0
         if stagnant >= 3 and gn <= 1e-4 * g0:
-            return x, it
+            return x, it, total
     raise NoConvergence("collar newton did not converge", iterations=200)
 
 

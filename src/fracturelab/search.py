@@ -58,9 +58,15 @@ class EnergyLandscape:
         self.empty_crack = CrackSet(grid)
 
     def solve_field(self, crack: CrackSet = None):
-        """Solve for one crack; its bulk energy is cached as a by-product."""
+        """Solve for one crack; its bulk energy is cached as a by-product.
+
+        Quadratic-form candidates run CG on the aggregation cycle: landscape
+        callers read energies and power pairings, not the CG residual's
+        smooth part that a direct solve() keeps small (see solver).
+        """
         crack = crack or self.empty_crack
-        fld, report = solve(self.grid, self.integrand, self.psi, crack, tol=self.tol)
+        fld, report = solve(self.grid, self.integrand, self.psi, crack, tol=self.tol,
+                            _cycle=True)
         self._bulk[crack.edges] = report.bulk_energy
         return fld
 

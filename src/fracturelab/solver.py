@@ -9,7 +9,10 @@ energy itself is never regularized).
 The Newton inner solves (here and in the dual collar problems) run CG
 preconditioned by an aggregation V-cycle that pcg rebuilds from each
 Hessian, about 15 iterations per step where Jacobi needs O(N) at N^2 cells.
-The p = 2 solves stay on Jacobi: they stop on the CG residual alone, and at
+So do the quadratic-form solves of search.EnergyLandscape (about 25
+iterations per crack candidate at 128^2 instead of about 300), whose
+callers read energies and power pairings.  A direct solve() of a
+quadratic form stays on Jacobi: it stops on the CG residual alone, and at
 the same relative residual the cycle leaves more of it in smooth modes, so
 the stress's weak divergence against a smooth test function stays near
 1e-10 instead of falling under refinement as Jacobi's does.  Newton steps
@@ -123,13 +126,16 @@ def pcg(A, b, tol=1e-10, maxiter=None, deflate=(), x0=None, nodes=None):
     The preconditioner is Jacobi, or the aggregation V-cycle built from A
     when nodes = (i, j), the grid indices of A's rows, is given.
     deflate: orthonormal null vectors of A; b and the iterates are kept in
-    their orthogonal complement.  Returns (x, iterations, relative residual).
-    Raises NoConvergence on breakdown (a non-finite residual or p.Ap <= 0)
-    and when maxiter (default 20 n + 2000) iterations do not reach tol.
+    their orthogonal complement.  Without them, the cycle supplies the null
+    vectors of the floating pieces of A it finds, and b must be orthogonal
+    to those to tol.  Returns (x, iterations, relative residual).  Raises
+    NoConvergence on breakdown (a non-finite residual or p.Ap <= 0), on a b
+    with a component in a found null space, and when maxiter (default
+    _iteration_cap(n)) iterations do not reach tol.
     """
     n = A.shape[0]
     if maxiter is None:
-        maxiter = 20 * n + 2000
+        maxiter = _iteration_cap(n)
     Q = np.column_stack(deflate) if len(deflate) else None
 
     def project(v):
@@ -153,6 +159,14 @@ def pcg(A, b, tol=1e-10, maxiter=None, deflate=(), x0=None, nodes=None):
             np.multiply(r, inv_d, out=z)
     else:
         cycle = _AggregationCycle(A, nodes, singular=Q is not None)
+        if Q is None and cycle.null is not None:
+            Q = cycle.null
+            defect = np.linalg.norm(Q.T @ b) / bnorm
+            if defect > tol:
+                raise NoConvergence(f"pcg right-hand side has a relative component "
+                                    f"{defect:.3e} on a floating piece of A",
+                                    iterations=0, residual=float(defect))
+            project(b)  # in place
 
         def precondition(r, z):
             z[:] = project(cycle(r))
@@ -190,6 +204,17 @@ def pcg(A, b, tol=1e-10, maxiter=None, deflate=(), x0=None, nodes=None):
     )
 
 
+# The largest iterations / sqrt(n) of any converged pcg solve in the test
+# suite and the bench workloads is 6.0 (Jacobi, n = 90); over 3.4 only on
+# systems below 2000 unknowns.  Ten times that is a solve that has stalled.
+_CAP_PER_ROOT_N = 64
+
+
+def _iteration_cap(n):
+    """Default pcg iteration cap for n unknowns."""
+    return int(np.ceil(_CAP_PER_ROOT_N * np.sqrt(n)))
+
+
 def _inverse_diagonal(A):
     """1 / diag(A), with 1 where the diagonal is not positive."""
     inv_d = np.array(A.diagonal(), dtype=float)
@@ -213,7 +238,16 @@ _BRAESS = 1.5           # over-relaxation of the coarse correction
 class _AggregationCycle:
     """Symmetric V(1,1) cycle: Jacobi smoothing damped by 4 / (3 rho), rho the
     Gershgorin bound of D^-1 A on each level, and Galerkin coarse operators
-    (A's entries summed per aggregate pair).  Call it on a residual."""
+    (A's entries summed per aggregate pair).  Call it on a residual.
+
+    Unless singular (the caller deflates A's null space), the cycle looks for
+    floating pieces of A: one-point stiffness can couple each node parity
+    only to itself, so a strip between a crack and a Neumann side may hold a
+    parity chain that no datum reaches although its cells do.  No aggregate
+    joins such a piece to anything else, so its null vectors show on the
+    coarsest level; null holds them prolongated to A's rows, orthonormal,
+    or None when there are none.
+    """
 
     def __init__(self, A, nodes, singular=False):
         i, j = (np.asarray(v) for v in nodes)
@@ -235,8 +269,9 @@ class _AggregationCycle:
             first[agg] = np.arange(n, dtype=agg.dtype)
             bi, bj, parity = bi[first] // 2, bj[first] // 2, parity[first]
             strong = 0.0
+        null = [] if singular else _floating_null_vectors(A, parity)
         dense = A.toarray()
-        if singular:
+        if singular or null:
             dense[np.diag_indices_from(dense)] += 1e-12 * dense.diagonal().max()
         # packed Cholesky runs on level-2 BLAS; the blocked dpotrf fills BLAS
         # work buffers that cost about 2 MB of resident memory per process
@@ -245,6 +280,12 @@ class _AggregationCycle:
         if info:
             raise NoConvergence("coarse operator of the aggregation cycle is not "
                                 "positive definite", iterations=0, residual=float("nan"))
+        self.null = None
+        if null:
+            V = np.column_stack(null)
+            for _, _, agg, _ in reversed(self.levels):
+                V = V[agg]
+            self.null = V / np.linalg.norm(V, axis=0)
 
     def __call__(self, b, level=0):
         if level == len(self.levels):
@@ -256,6 +297,26 @@ class _AggregationCycle:
         x += self(r, level + 1)[agg]
         x += w * (b - A @ x)
         return x
+
+
+def _floating_null_vectors(A, parity):
+    """Null vectors of the sparse operator A on its pieces that no datum
+    reaches.  A piece is a connected component of A's couplings.  On a piece
+    that couples to no datum, one-point stiffness annihilates the constant
+    and the checkerboard, hence also the piece's even and odd indicators,
+    which are orthogonal.  A piece floats when |A v| <= 1e-9 diag(A) on each
+    of its rows for both."""
+    nc, piece = _cs_components(A, directed=False)
+    even = parity == 0
+    small = 1e-9 * np.abs(A.diagonal())
+    quiet_const, quiet_checker = (
+        np.bincount(piece, weights=np.abs(A @ v) > small, minlength=nc) == 0
+        for v in (np.ones(A.shape[0]), np.where(even, 1.0, -1.0)))
+    out = []
+    for c in np.flatnonzero(quiet_const & quiet_checker):
+        inside = piece == c
+        out += [half.astype(float) for half in (inside & even, inside & ~even) if half.any()]
+    return out
 
 
 def _aggregates(A, rows, key, strong):
@@ -417,11 +478,13 @@ def datum_scale(psi, grid: Grid):
 
 
 def solve(grid: Grid, integrand: Integrand, psi, crack: CrackSet = None,
-          tol: float = DEFAULT_TOL, maxiter: int = None):
+          tol: float = DEFAULT_TOL, maxiter: int = None, *, _cycle: bool = False):
     """Elastic solution for the datum psi on the cracked grid.
 
     Returns (ScalarField, SolveReport).  psi is a vectorized callable
     psi(x, y) evaluated on Dirichlet nodes (values elsewhere are ignored).
+    _cycle (package-internal) runs a quadratic-form solve on the
+    aggregation cycle instead of Jacobi; see the module docstring.
     """
     t0 = time.perf_counter()
     topology = cut_grid(grid, crack)
@@ -433,7 +496,7 @@ def solve(grid: Grid, integrand: Integrand, psi, crack: CrackSet = None,
     free = np.nonzero(free)[0]
 
     if integrand.is_quadratic_form:
-        u, iters, res = _solve_quadratic(topology, integrand, u, free, tol)
+        u, iters, res = _solve_quadratic(topology, integrand, u, free, tol, _cycle)
         inner = iters
         method = "cg"
     else:
@@ -453,14 +516,16 @@ def solve(grid: Grid, integrand: Integrand, psi, crack: CrackSet = None,
     return field, report
 
 
-def _solve_quadratic(topology, integrand, u, free, tol):
+def _solve_quadratic(topology, integrand, u, free, tol, cycle):
     xc, yc = topology.grid.cell_centers()
     K = assemble_metric(topology, integrand.cell_metric(xc, yc))
     if len(free) == 0:
         return u, 0, 0.0
     Kff = K[free][:, free]
     b = -(K @ u)[free]
-    x, iters, res = pcg(Kff, b, tol=tol)
+    del K  # not held while pcg builds its preconditioner
+    nodes = topology.grid.node_ij(topology.dof_node[free]) if cycle else None
+    x, iters, res = pcg(Kff, b, tol=tol, nodes=nodes)
     u = u.copy()
     u[free] += x
     return u, iters, res

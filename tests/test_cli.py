@@ -193,3 +193,17 @@ def test_one_version_string():
     module, name = attr.rsplit(".", 1)
     assert getattr(importlib.import_module(module), name) == fracturelab.__version__
     assert report.VERSION == fracturelab.__version__
+
+
+@pytest.mark.parametrize("coefficient, named", [("meyers", "kind = meyers"),
+                                                ("checkerboard", "'checkerboard'")])
+def test_quadratic_takes_only_a_constant_coefficient(tmp_path, capsys, coefficient, named):
+    # the composite has one config path, kind = meyers; any other coefficient
+    # under kind = quadratic is an error, not silently the constant matrix
+    cfg, _ = write_cfg(tmp_path)
+    text = open(cfg).read().replace(
+        "kind = laplace", f"kind = quadratic\ncoefficient = {coefficient}\nK = 3\nmatrix = 1 1")
+    open(cfg, "w").write(text)
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "[integrand.coefficient]" in err

@@ -301,3 +301,18 @@ def test_jump_flux_dominates_release():
     jf = jump_flux_bound(sf, fld, crack)
     assert release > 0
     assert jf >= release - 1e-9 * (1 + abs(release))
+
+
+def test_corrector_reports_inner_cg_iterations():
+    # the collar Newton's CG work, its warm start included, is counted apart
+    # from its Newton steps
+    grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 64)
+    integrand = ppower_integrand(1.5, 1.0)
+    field, _ = solve(grid, integrand, linear_x)
+    phi = cutoff(Cover((Disk(0.5, 0.5, 0.1),), 1.0, 1, 0.5), grid)
+    col = member_collar(phi, 0, field)
+    assert col.case == "interior"
+    corr = corrector(col, stress(field).sigma, phi, "interior", p=1.5)
+    assert corr.inner_iterations > corr.iterations >= 1
+    lap = corrector(col, stress(field).sigma, phi, "interior")
+    assert lap.inner_iterations == lap.iterations > 0

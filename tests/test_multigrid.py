@@ -15,6 +15,7 @@ from fracturelab.dual import _collar_null_vectors, cutoff, member_collar
 from fracturelab.energy import laplace_integrand, meyers_integrand, ppower_integrand
 from fracturelab.errors import NoConvergence
 from fracturelab.geometry import Cover, Disk, Domain, Grid, cut_grid
+from fracturelab.search import EnergyLandscape
 from fracturelab.solver import (
     _AggregationCycle,
     assemble_metric,
@@ -23,11 +24,12 @@ from fracturelab.solver import (
     solve,
 )
 
-from conftest import linear_x, vslit
+from conftest import hslit, linear_x, vslit
 
 
-def p15_hessian_system(grid, crack):
-    """Free-free Newton Hessian of the p = 1.5 energy at the Laplace field."""
+def p15_hessian_system(grid, crack, every_dof=False):
+    """Free-free Newton Hessian of the p = 1.5 energy at the Laplace field;
+    over every dof, a pure-Neumann system, when every_dof."""
     field, _ = solve(grid, laplace_integrand(), linear_x, crack)
     topo = field.topology
     g = cell_gradients(topo, field.values)
@@ -37,7 +39,7 @@ def p15_hessian_system(grid, crack):
     H[:, 0, 0] = H[:, 1, 1] = r2 ** ((p - 2.0) / 2.0)
     H += ((p - 2.0) * r2 ** ((p - 4.0) / 2.0))[:, None, None] * (
         g[:, :, None] * g[:, None, :])
-    free = field.free_dofs()
+    free = np.arange(topo.n_dofs) if every_dof else field.free_dofs()
     A = assemble_metric(topo, H)[free][:, free]
     return topo, free, A, grid.node_ij(topo.dof_node[free])
 
@@ -148,3 +150,74 @@ def test_newton_with_cycle_matches_jacobi_newton(monkeypatch):
     assert rep.iterations == ref.iterations
     assert abs(rep.bulk_energy - ref.bulk_energy) <= 1e-12 * abs(ref.bulk_energy)
     assert rep.inner_iterations < ref.inner_iterations
+
+
+def strip_system(grid, row):
+    """Free-free Laplace stiffness of a full cut at `row`, with its rhs."""
+    field, _ = solve(grid, laplace_integrand(), linear_x, hslit(grid, 0, row, grid.nx))
+    topo = field.topology
+    xc, yc = grid.cell_centers()
+    K = assemble_metric(topo, laplace_integrand().cell_metric(xc, yc))
+    free = field.free_dofs()
+    u = field.values.copy()
+    u[free] = 0.0
+    return K[free][:, free], -(K @ u)[free], grid.node_ij(topo.dof_node[free])
+
+
+def test_cycle_deflates_a_floating_parity_chain(lr_domain):
+    # a full cut one row below the Neumann top side releases the datum on
+    # its nodes; in the one-cell strip above it each parity couples only to
+    # itself, and the chain of one parity meets no datum: A is singular
+    grid = Grid(lr_domain, 32)
+    A, b, nodes = strip_system(grid, 31)
+    cycle = _AggregationCycle(A, nodes)
+    assert cycle.null is not None and cycle.null.shape[1] == 1
+    v = cycle.null[:, 0]
+    i, j = nodes
+    chain = v != 0
+    assert np.all(j[chain] >= 31) and len(np.unique((i + j)[chain] % 2)) == 1
+    assert np.linalg.norm(A @ v) <= 1e-12 * abs(A).max()
+    x, _, res = pcg(A, b, nodes=nodes)
+    assert res <= 1e-10 and abs(x @ v) <= 1e-12
+    with pytest.raises(NoConvergence, match="floating"):
+        pcg(A, b + 1e-3 * np.linalg.norm(b) * v, nodes=nodes)
+    # anchored systems find nothing to deflate
+    A, _, nodes = strip_system(grid, 16)
+    assert _AggregationCycle(A, nodes).null is None
+
+
+def test_cycle_deflates_a_pure_neumann_hessian_with_cross_parity_couplings():
+    # no datum anywhere: the constant and the checkerboard are both null,
+    # so the cycle deflates the even and the odd indicator
+    grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 32)
+    _, _, A, nodes = p15_hessian_system(grid, vslit(grid, 16, 8, 16), every_dof=True)
+    cycle = _AggregationCycle(A, nodes)
+    assert cycle.null is not None and cycle.null.shape[1] == 2
+    Q = cycle.null
+    assert np.abs(Q.T @ Q - np.eye(2)).max() < 1e-12
+    b = np.random.default_rng(2).standard_normal(A.shape[0])
+    b -= Q @ (Q.T @ b)
+    x, _, res = pcg(A, b, tol=1e-12, nodes=nodes)
+    ref = np.linalg.lstsq(A.toarray(), b, rcond=None)[0]
+    assert res <= 1e-12
+    assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("p, row, bulk", [(1.5, 31, 0.6572673715569897),
+                                          (3.0, 1, 0.3259794062864042)])
+def test_newton_solves_a_strip_with_a_floating_parity_chain(lr_domain, p, row, bulk):
+    # the isotropic warm start of the Newton solve is singular on the strip;
+    # the reference energies are those of the Jacobi-CG warm start
+    grid = Grid(lr_domain, 32)
+    _, rep = solve(grid, ppower_integrand(p), linear_x, hslit(grid, 0, row, 32))
+    assert rep.bulk_energy == pytest.approx(bulk, rel=1e-10)
+
+
+def test_landscape_solves_a_strip_with_a_floating_parity_chain(lr_domain):
+    grid = Grid(lr_domain, 32)
+    crack = hslit(grid, 0, 31, 32)
+    integrand = ppower_integrand(2.0)
+    _, rep = solve(grid, integrand, linear_x, crack)
+    assert rep.bulk_energy == 0.49142295780248824
+    landscape = EnergyLandscape(grid, integrand, linear_x)
+    assert landscape.bulk(crack) == pytest.approx(rep.bulk_energy, rel=1e-12)

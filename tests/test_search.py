@@ -17,6 +17,7 @@ from fracturelab.search import (
     segments_family,
 )
 from fracturelab.singularity import meyers_profile
+from fracturelab.solver import solve
 
 from conftest import linear_x
 
@@ -215,3 +216,33 @@ def test_worker_count_does_not_change_results():
     b1 = land1.bulk_many(list(fam), workers=1)
     b2 = land2.bulk_many(list(fam), workers=4)
     assert b1 == b2
+
+
+def test_landscape_cycle_energies_match_jacobi_solves():
+    # EnergyLandscape solves quadratic-form candidates on the aggregation
+    # cycle, solve() on Jacobi; the energies agree, and solve()'s CG
+    # iteration counts are those of the Jacobi path.  The full cut releases
+    # everything, so its energy of about 0 is compared on the uncracked
+    # energy's scale.
+    lr = Grid(Domain.unit_square(dirichlet=("left", "right")), 128)
+    centered = Grid(Domain.unit_square(dirichlet="all", centered=True), 128)
+    problems = [
+        (lr, laplace_integrand(), [
+            (CrackSet(lr, [("v", 64, 48 + k) for k in range(32)]), 358),
+            (CrackSet(lr, [("v", 40, k) for k in range(128)]), 88),
+            (CrackSet(lr, [("h", i, 127) for i in range(128)]), 437),   # floating chain
+        ]),
+        # cross-parity couplings everywhere
+        (centered, meyers_integrand(3.0, "radial_stiff"), [
+            (circle_crack(centered, (0.0, 0.0), r), iters)
+            for r, iters in ((0.05, 418), (0.1, 428), (0.2, 415))
+        ]),
+    ]
+    for grid, integrand, cracks in problems:
+        landscape = EnergyLandscape(grid, integrand, linear_x)
+        scale = landscape.bulk()
+        for crack, jacobi_iters in cracks:
+            _, rep = solve(grid, integrand, linear_x, crack)
+            assert rep.iterations == jacobi_iters
+            assert landscape.bulk(crack) == pytest.approx(rep.bulk_energy, rel=1e-12,
+                                                          abs=1e-15 * scale)

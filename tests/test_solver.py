@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fracturelab.energy import laplace_integrand, meyers_integrand, ppower_integrand
-from fracturelab.errors import ConfigError, SingularSystem
+from fracturelab.errors import ConfigError, NoConvergence, SingularSystem
 from fracturelab.geometry import Domain, Grid, cut_grid
 from fracturelab.solver import (
+    _iteration_cap,
+    assemble_metric,
     bulk_energy,
+    checkerboard_vector,
     field_from_function,
+    pcg,
     solve,
     stress,
     total_energy,
@@ -187,3 +192,32 @@ def test_report_counts_inner_cg_iterations(lr_domain):
     _, rep = solve(grid, ppower_integrand(1.5), linear_x, crack)
     assert rep.method == "newton" and rep.iterations > 1
     assert rep.iterations < rep.inner_iterations <= 250
+
+
+def test_pcg_cap_follows_the_grid_width():
+    # Jacobi CG on a 1D chain needs about n iterations, more than the cap of
+    # 64 sqrt(n): the solve stalls and raises at exactly the cap
+    n = 8000
+    A = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1],
+                 format="csr")
+    b = np.random.default_rng(0).standard_normal(n)
+    assert _iteration_cap(n) == 5725 < n
+    with pytest.raises(NoConvergence, match="stalled") as ei:
+        pcg(A, b)
+    assert ei.value.iterations == _iteration_cap(n)
+
+
+def test_inconsistent_neumann_system_ends_before_the_cap():
+    # no Dirichlet rows and no deflation: b has a part on the null vectors,
+    # so CG cannot converge; it breaks down long before 64 sqrt(n) iterations
+    grid = Grid(Domain.unit_square(), 64)
+    topo = cut_grid(grid)
+    K = assemble_metric(topo, np.tile(np.eye(2), (grid.n_cells, 1, 1)))
+    n = topo.n_dofs
+    Q = np.column_stack([np.ones(n), checkerboard_vector(topo)]) / np.sqrt(n)
+    b = np.random.default_rng(0).standard_normal(n)
+    b -= Q @ (Q.T @ b)
+    b += 1e-6 * np.linalg.norm(b) * Q[:, 0]
+    with pytest.raises(NoConvergence) as ei:
+        pcg(K, b)
+    assert 0 < ei.value.iterations < _iteration_cap(n)
