@@ -172,7 +172,7 @@ class Integrand:
         if self.kind == PPOWER:
             c = self.coeff.scalar(x, y)
             norm = np.linalg.norm(xi, axis=-1)
-            fac = np.where(norm > 0.0, norm ** (self.p - 2.0), 0.0)
+            fac = np.power(norm, self.p - 2.0, out=np.zeros_like(norm), where=norm > 0.0)
             return (c * fac)[..., None] * xi
         A = self.coeff.matrix(x, y)
         return 2.0 * np.einsum("...ij,...j->...i", A, xi)
@@ -194,7 +194,7 @@ class Integrand:
             c = self.coeff.scalar(x, y)
             q = self.q
             norm = np.linalg.norm(zeta, axis=-1)
-            fac = np.where(norm > 0.0, norm ** (q - 2.0), 0.0)
+            fac = np.power(norm, q - 2.0, out=np.zeros_like(norm), where=norm > 0.0)
             return (c ** (1.0 - q) * fac)[..., None] * zeta
         A = self.coeff.matrix(x, y)
         Ainv = np.linalg.inv(A)

@@ -4,19 +4,20 @@ Discretization: bilinear quadrilateral cells with one-point quadrature at
 cell centers (exact for linear fields).  Quadratic-form integrands (p = 2)
 are solved by Jacobi-preconditioned conjugate gradients; general p-power
 densities by damped Newton with an epsilon-regularized Hessian metric (the
-energy itself is never regularized).
+energy itself is never regularized).  One Newton routine, newton(), serves
+both this bulk solve and the collar problems of the dual bound; each caller
+passes its own exit thresholds.
 
-The Newton inner solves (here and in the dual collar problems) run CG
-preconditioned by an aggregation V-cycle that pcg rebuilds from each
-Hessian, about 15 iterations per step where Jacobi needs O(N) at N^2 cells.
-So do the quadratic-form solves of search.EnergyLandscape (about 25
-iterations per crack candidate at 128^2 instead of about 300), whose
-callers read energies and power pairings.  A direct solve() of a
-quadratic form stays on Jacobi: it stops on the CG residual alone, and at
-the same relative residual the cycle leaves more of it in smooth modes, so
-the stress's weak divergence against a smooth test function stays near
-1e-10 instead of falling under refinement as Jacobi's does.  Newton steps
-end on the Newton gradient test instead.
+The Newton inner solves run CG preconditioned by an aggregation V-cycle
+that pcg rebuilds from each Hessian, about 15 iterations per step where
+Jacobi needs O(N) at N^2 cells.  So do the quadratic-form solves of
+search.EnergyLandscape (about 25 iterations per crack candidate at 128^2
+instead of about 300), whose callers read energies and power pairings.  A
+direct solve() of a quadratic form stays on Jacobi: it stops on the CG
+residual alone, and at the same relative residual the cycle leaves more of
+it in smooth modes, so the stress's weak divergence against a smooth test
+function stays near 1e-10 instead of falling under refinement as Jacobi's
+does.  Newton steps end on the Newton gradient test instead.
 
 Stiffness assembly is parity split.  One-point quadrature sees a cell only
 through its diagonal differences u11 - u00 and u10 - u01, each joining two
@@ -478,7 +479,7 @@ def datum_scale(psi, grid: Grid):
 
 
 def solve(grid: Grid, integrand: Integrand, psi, crack: CrackSet = None,
-          tol: float = DEFAULT_TOL, maxiter: int = None, *, _cycle: bool = False):
+          tol: float = DEFAULT_TOL, *, _cycle: bool = False):
     """Elastic solution for the datum psi on the cracked grid.
 
     Returns (ScalarField, SolveReport).  psi is a vectorized callable
@@ -500,8 +501,9 @@ def solve(grid: Grid, integrand: Integrand, psi, crack: CrackSet = None,
         inner = iters
         method = "cg"
     else:
-        u, iters, inner, res = _solve_newton(topology, integrand, psi, u, free, tol,
-                                             maxiter or NEWTON_MAX_ITER)
+        u, iters, inner, res = newton(topology, integrand, u, free,
+                                      eps=1e-8 * datum_scale(psi, topology.grid), tol=tol,
+                                      gtol=1e-8, stall_gtol=1e-5, gfloor=1e-12)
         method = "newton"
 
     field = ScalarField(topology, integrand, u, psi, constrained)
@@ -531,44 +533,66 @@ def _solve_quadratic(topology, integrand, u, free, tol, cycle):
     return u, iters, res
 
 
-def _energy_and_gradient(topology, integrand, u):
-    xc, yc = topology.grid.cell_centers()
-    g = cell_gradients(topology, u)
-    h2 = topology.grid.h ** 2
-    E = h2 * float(np.sum(integrand.eval_f(xc, yc, g)))
+def _energy_and_gradient(topology, integrand, u, free, xc, yc, cells=None, load=None,
+                         deflate=()):
+    """sum_{c in cells} h^2 f(x_c, grad u) - load . u[free], its gradient in
+    u[free] with the deflated components removed, and the cell gradients;
+    (xc, yc) are the centers of the cells."""
+    g = cell_gradients(topology, u, cells=cells)
+    E = topology.grid.h ** 2 * float(np.sum(integrand.eval_f(xc, yc, g)))
     sigma = integrand.grad_f(xc, yc, g)
-    grad = scatter_weak_divergence(topology, sigma)
+    grad = scatter_weak_divergence(topology, sigma, cells=cells)[free]
+    if load is not None:
+        E -= float(load @ u[free])
+        grad -= load
+    for q in deflate:
+        grad -= (grad @ q) * q
     return E, grad, g
 
 
-def _solve_newton(topology, integrand, psi, u, free, tol, maxiter):
-    """Damped Newton with (eps^2 + |g|^2)^((p-2)/2) Hessian regularization.
+def newton(topology, integrand, u, free, *, eps, tol, gtol, stall_gtol, gfloor,
+           cells=None, load=None, deflate=()):
+    """Damped Newton for sum_{c in cells} h^2 f(x_c, grad u) - load . u[free]
+    over u[free], for a p-power integrand; cells defaults to all cells.
 
-    eps enters only the Newton metric; energies and gradients are exact.
-    Returns (u, Newton steps, inner CG iterations, relative gradient).
+    The Newton metric is the Hessian regularized by
+    (eps^2 + |g|^2)^((p-2)/2); energies and gradients are exact.  The first
+    iterate solves the quadratic problem with the same coefficient.  deflate:
+    orthonormal null vectors of the problem, orthogonal to load, kept out of
+    the gradient and the steps.  A step ends the solve when its energy
+    decrease is at most tol (1 + |E|) and the gradient is at most
+    max(gtol |g0|, gfloor), or when the energy has stopped moving at the
+    floating-point floor for three steps with the gradient at most
+    stall_gtol |g0|; g0 is the gradient of the first iterate.  Returns
+    (u, Newton steps, inner CG iterations, relative gradient); raises
+    NoConvergence after NEWTON_MAX_ITER steps.
     """
     p = integrand.p
     xc, yc = topology.grid.cell_centers()
+    if cells is not None:
+        xc, yc = xc[cells], yc[cells]
     c = integrand.coeff.scalar(xc, yc)
-    eps = 1e-8 * datum_scale(psi, topology.grid)
     u = u.copy()
     # warm start from the quadratic problem with the same coefficient
     M0 = np.zeros((len(c), 2, 2))
     M0[:, 0, 0] = c
     M0[:, 1, 1] = c
-    K0 = assemble_metric(topology, M0)
+    K0 = assemble_metric(topology, M0, cells=cells)
     nodes = topology.grid.node_ij(topology.dof_node[free])
     total_iters = 0
     if len(free):
         b0 = -(K0 @ u)[free]
-        x0, total_iters, _ = pcg(K0[free][:, free], b0, tol=1e-8, nodes=nodes)
+        if load is not None:
+            b0 += load
+        x0, total_iters, _ = pcg(K0[free][:, free], b0, tol=1e-8, deflate=deflate,
+                                 nodes=nodes)
         u[free] += x0
 
-    E, grad, g = _energy_and_gradient(topology, integrand, u)
-    g0norm = max(np.linalg.norm(grad[free]), 1e-30)
+    E, grad, g = _energy_and_gradient(topology, integrand, u, free, xc, yc, cells, load,
+                                      deflate)
+    g0 = max(np.linalg.norm(grad), 1e-30)
     stagnant = 0
-    for it in range(1, maxiter + 1):
-        gn = np.linalg.norm(grad[free])
+    for it in range(1, NEWTON_MAX_ITER + 1):
         # regularized Hessian metric per cell
         r2 = eps * eps + np.sum(g * g, axis=1)
         fac = c * r2 ** ((p - 2.0) / 2.0)
@@ -578,36 +602,35 @@ def _solve_newton(topology, integrand, psi, u, free, tol, maxiter):
         H += ((p - 2.0) * c * r2 ** ((p - 4.0) / 2.0))[:, None, None] * (
             g[:, :, None] * g[:, None, :]
         )
-        K = assemble_metric(topology, H)
-        delta = np.zeros_like(u)
-        rhs = -grad[free]
-        dx, inner, _ = pcg(K[free][:, free], rhs, tol=1e-6, nodes=nodes)
+        K = assemble_metric(topology, H, cells=cells)
+        dx, inner, _ = pcg(K[free][:, free], -grad, tol=1e-6, deflate=deflate, nodes=nodes)
         total_iters += inner
-        delta[free] = dx
-        slope = grad[free] @ dx
+        slope = grad @ dx
         alpha = 1.0
         for _ in range(50):
+            trial = u.copy()
+            trial[free] += alpha * dx
             E_new, grad_new, g_new = _energy_and_gradient(
-                topology, integrand, u + alpha * delta
+                topology, integrand, trial, free, xc, yc, cells, load, deflate
             )
             if E_new <= E + 1e-4 * alpha * slope or alpha < 1e-12:
                 break
             alpha *= 0.5
         decrement = E - E_new
-        u = u + alpha * delta
+        u = trial
         E, grad, g = E_new, grad_new, g_new
-        gn = np.linalg.norm(grad[free])
-        if decrement <= tol * (1.0 + abs(E)) and gn <= max(1e-8 * g0norm, 1e-12):
-            return u, it, total_iters, gn / g0norm
+        gn = np.linalg.norm(grad)
+        if decrement <= tol * (1.0 + abs(E)) and gn <= max(gtol * g0, gfloor):
+            return u, it, total_iters, gn / g0
         # stalled at the floating-point floor of the energy with the gradient
         # already reduced: accept (monotone descent guarantees near-optimality)
         stagnant = stagnant + 1 if decrement <= 1e-15 * (1.0 + abs(E)) else 0
-        if stagnant >= 3 and gn <= 1e-5 * g0norm:
-            return u, it, total_iters, gn / g0norm
+        if stagnant >= 3 and gn <= stall_gtol * g0:
+            return u, it, total_iters, gn / g0
     raise NoConvergence(
-        f"newton did not converge in {maxiter} iterations",
-        iterations=maxiter,
-        residual=float(np.linalg.norm(grad[free]) / g0norm),
+        f"newton did not converge in {NEWTON_MAX_ITER} iterations",
+        iterations=NEWTON_MAX_ITER,
+        residual=float(np.linalg.norm(grad) / g0),
     )
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fracturelab import solver
 from fracturelab.dual import (
     assemble_tau,
     corrector,
@@ -13,6 +14,7 @@ from fracturelab.dual import (
 from fracturelab.energy import conjugate_pair, laplace_integrand, ppower_integrand
 from fracturelab.errors import (
     CompatibilityViolated,
+    NoConvergence,
     ResidualTooLarge,
     UnresolvableCover,
 )
@@ -316,3 +318,50 @@ def test_corrector_reports_inner_cg_iterations():
     assert corr.inner_iterations > corr.iterations >= 1
     lap = corrector(col, stress(field).sigma, phi, "interior")
     assert lap.inner_iterations == lap.iterations > 0
+
+
+# Reference collar energy ratios, Newton steps and p = 1.5 release bounds,
+# computed while the collar problem had a Newton loop of its own with its own
+# energy formula: the shared loop must reproduce them.
+@pytest.mark.parametrize("p, disk, case, ratio, steps", [
+    (1.5, Disk(0.5, 0.5, 0.1), "interior", 0.8881474368130322, 15),
+    (1.5, Disk(0.5, 0.9, 0.1), "neumann", 2.2232091137491166, 55),
+    (3.0, Disk(0.5, 0.5, 0.1), "interior", 0.7612790078073088, 6),
+    (3.0, Disk(0.5, 0.9, 0.1), "neumann", 1.0605498586681528, 7),
+])
+def test_collar_newton_keeps_its_ratios_and_steps(p, disk, case, ratio, steps):
+    grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 64)
+    field, _ = solve(grid, ppower_integrand(p), linear_x)
+    phi = cutoff(Cover((disk,), 1.0, 1, 0.5), grid)
+    col = member_collar(phi, 0, field)
+    assert col.case == case
+    corr = corrector(col, stress(field).sigma, phi, case, p=p)
+    assert corr.energy_ratio == pytest.approx(ratio, rel=1e-12)
+    assert abs(corr.iterations - steps) <= 1
+
+
+def test_release_bound_p15_ladder_keeps_its_values():
+    grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 64)
+    integrand = ppower_integrand(1.5)
+    field, _ = solve(grid, integrand, linear_x)
+    base = (field, stress(field))
+    for n, bound in ((12, 0.5222042892809189), (6, 0.11392375252555159),
+                     (3, 0.04715282483418404)):
+        rb = release_bound(grid, integrand, linear_x, vslit(grid, 32, 32 - n // 2, n), 1,
+                           base=base)
+        assert rb.bound == pytest.approx(bound, rel=1e-12)
+
+
+def test_bulk_and_collar_newton_fail_alike_at_the_step_cap(monkeypatch):
+    grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 64)
+    integrand = ppower_integrand(1.5)
+    field, _ = solve(grid, integrand, linear_x)
+    phi = cutoff(Cover((Disk(0.5, 0.5, 0.1),), 1.0, 1, 0.5), grid)
+    col = member_collar(phi, 0, field)
+    monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NoConvergence) as bulk:
+        solve(grid, integrand, linear_x, vslit(grid, 32, 16, 16))
+    with pytest.raises(NoConvergence) as collar:
+        corrector(col, stress(field).sigma, phi, "interior", p=1.5)
+    for err in (bulk.value, collar.value):
+        assert err.iterations == 1 and np.isfinite(err.residual)

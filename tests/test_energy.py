@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,17 @@ def test_f_vanishes_at_zero():
                       meyers_integrand(3.0)):
         x, y = rng.uniform(-0.4, 0.4, size=(2, 50))
         assert np.allclose(integrand.eval_f(x, y, np.zeros((50, 2))), 0.0)
+
+
+def test_gradients_at_zero_are_zero_without_warnings():
+    # |xi|^(p-2) for p < 2 and |zeta|^(q-2) for q < 2 must not be evaluated
+    # at 0, where they divide by zero
+    x = y = np.array([0.5, 0.5])
+    xi = np.array([[0.0, 0.0], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(ppower_integrand(1.5).grad_f(x, y, xi), xi)
+        assert np.array_equal(ppower_integrand(3.0).grad_fstar(x, y, xi), xi)
 
 
 def test_grad_matches_finite_difference_p15():

@@ -207,10 +207,12 @@ def test_cycle_deflates_a_pure_neumann_hessian_with_cross_parity_couplings():
                                           (3.0, 1, 0.3259794062864042)])
 def test_newton_solves_a_strip_with_a_floating_parity_chain(lr_domain, p, row, bulk):
     # the isotropic warm start of the Newton solve is singular on the strip;
-    # the reference energies are those of the Jacobi-CG warm start
+    # the reference energies are those of the Jacobi-CG warm start, the
+    # Newton steps and CG iterations those of the cycle
     grid = Grid(lr_domain, 32)
     _, rep = solve(grid, ppower_integrand(p), linear_x, hslit(grid, 0, row, 32))
     assert rep.bulk_energy == pytest.approx(bulk, rel=1e-10)
+    assert (rep.iterations, rep.inner_iterations) == {1.5: (3, 52), 3.0: (3, 50)}[p]
 
 
 def test_landscape_solves_a_strip_with_a_floating_parity_chain(lr_domain):
