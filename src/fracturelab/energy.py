@@ -161,21 +161,32 @@ class Integrand:
     def eval_f(self, x, y, xi):
         xi = np.asarray(xi, dtype=float)
         if self.kind == PPOWER:
-            c = self.coeff.scalar(x, y)
-            norm = np.linalg.norm(xi, axis=-1)
-            return c / self.p * norm ** self.p
+            return self._ppower_f(self.coeff.scalar(x, y), np.linalg.norm(xi, axis=-1))
         A = self.coeff.matrix(x, y)
         return np.einsum("...ij,...i,...j->...", A, xi, xi)
 
     def grad_f(self, x, y, xi):
         xi = np.asarray(xi, dtype=float)
         if self.kind == PPOWER:
-            c = self.coeff.scalar(x, y)
-            norm = np.linalg.norm(xi, axis=-1)
-            fac = np.power(norm, self.p - 2.0, out=np.zeros_like(norm), where=norm > 0.0)
-            return (c * fac)[..., None] * xi
+            return self._ppower_grad(self.coeff.scalar(x, y), np.linalg.norm(xi, axis=-1), xi)
         A = self.coeff.matrix(x, y)
         return 2.0 * np.einsum("...ij,...j->...i", A, xi)
+
+    def eval_f_and_grad(self, x, y, xi):
+        """(eval_f, grad_f) with one coefficient and one |xi| evaluation."""
+        xi = np.asarray(xi, dtype=float)
+        if self.kind == PPOWER:
+            c = self.coeff.scalar(x, y)
+            norm = np.linalg.norm(xi, axis=-1)
+            return self._ppower_f(c, norm), self._ppower_grad(c, norm, xi)
+        return self.eval_f(x, y, xi), self.grad_f(x, y, xi)
+
+    def _ppower_f(self, c, norm):
+        return c / self.p * norm ** self.p
+
+    def _ppower_grad(self, c, norm, xi):
+        fac = np.power(norm, self.p - 2.0, out=np.zeros_like(norm), where=norm > 0.0)
+        return (c * fac)[..., None] * xi
 
     def eval_fstar(self, x, y, zeta):
         zeta = np.asarray(zeta, dtype=float)

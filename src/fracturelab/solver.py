@@ -8,9 +8,13 @@ energy itself is never regularized).  One Newton routine, newton(), serves
 both this bulk solve and the collar problems of the dual bound; each caller
 passes its own exit thresholds.
 
-The Newton inner solves run CG preconditioned by an aggregation V-cycle
-that pcg rebuilds from each Hessian, about 15 iterations per step where
-Jacobi needs O(N) at N^2 cells.  So do the quadratic-form solves of
+The Newton inner solves run CG preconditioned by an aggregation V-cycle,
+about 15 iterations per step where Jacobi needs O(N) at N^2 cells.  The
+Hessians of one Newton solve share one sparsity pattern, so newton builds
+that pattern once, and the cycle of its first Hessian keeps its aggregates
+for the later steps; each step refills only values: the Hessian's, the
+coarse operators', the smoothers', the coarse factor and the null vectors
+of floating pieces.  The cycle also runs the quadratic-form solves of
 search.EnergyLandscape (about 25 iterations per crack candidate at 128^2
 instead of about 300), whose callers read energies and power pairings.  A
 direct solve() of a quadratic form stays on Jacobi: it stops on the CG
@@ -23,8 +27,10 @@ Stiffness assembly is parity split.  One-point quadrature sees a cell only
 through its diagonal differences u11 - u00 and u10 - u01, each joining two
 nodes of one parity (i + j even or odd).  A cell couples the two parities
 only when its metric has M00 != M11; for isotropic metrics (every p = 2
-scalar coefficient) the cross-parity couplings vanish identically and are
-never stored, leaving five couplings per row instead of nine.
+scalar coefficient) the cross-parity couplings vanish identically, and
+assemble_metric never stores them, leaving five couplings per row instead of
+nine.  The Newton Hessians' one pattern holds every cell's cross-parity
+couplings, zero or not.
 
 Connected components of the cut topology that carry no Dirichlet datum are
 pinned to the value 0.
@@ -121,11 +127,68 @@ def assemble_metric(topology: CutTopology, metric_cells, cells=None):
     return K.tocsr()
 
 
-def pcg(A, b, tol=1e-10, maxiter=None, deflate=(), x0=None, nodes=None):
+class _Scatter:
+    """A CSR pattern built once from the (row, col) of each of a list of
+    entries, and the int32 slot of each entry in it.  Called on the entries'
+    values, it sums them into a CSR matrix of that pattern with one bincount.
+    Entries with a negative row or column go to one dump slot past the end
+    and are dropped."""
+
+    def __init__(self, rows, cols, shape):
+        n_rows, n_cols = shape
+        # one sort key per entry, in int32 when it fits; dropped entries sort
+        # last, so that their slot is the first past the pattern
+        end = n_rows * n_cols
+        keys = rows.astype(np.int32 if end < 2 ** 31 else np.int64) * n_cols + cols
+        keys[(rows < 0) | (cols < 0)] = end
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        self.slot = np.empty(len(keys), dtype=np.int32)
+        self.slot[order] = np.cumsum(first, dtype=np.int32) - 1
+        keys = keys[first]
+        keys = keys[keys < end]
+        itype = np.int32 if max(len(keys), n_cols) < 2 ** 31 else np.int64
+        self.indices = (keys % n_cols).astype(itype)
+        counts = np.bincount(keys // n_cols, minlength=n_rows)
+        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(itype)
+        self.shape = shape
+
+    def __call__(self, values):
+        data = np.bincount(self.slot, weights=values, minlength=len(self.indices) + 1)
+        return sp.csr_matrix((data[:-1], self.indices, self.indptr), shape=self.shape)
+
+
+def _free_block(topology: CutTopology, free, cells=None):
+    """The _Scatter of the free x free stiffness block over cells, on the
+    entries of _element_values: the couplings of every cell, its
+    cross-parity ones included, so that one pattern holds every metric."""
+    cd = topology.cell_dofs if cells is None else topology.cell_dofs[cells]
+    local = np.full(topology.n_dofs, -1, dtype=np.int32 if len(free) < 2 ** 31 else np.int64)
+    local[free] = np.arange(len(free))
+    cd = local[cd]
+    rows = np.concatenate([cd[:, _SAME_ROWS].ravel(), cd[:, _CROSS_ROWS].ravel()])
+    cols = np.concatenate([cd[:, _SAME_COLS].ravel(), cd[:, _CROSS_COLS].ravel()])
+    return _Scatter(rows, cols, (len(free), len(free)))
+
+
+def _element_values(metric_cells):
+    """Every local coupling of every cell for (n, 2, 2) metrics, in the
+    entry order of _free_block."""
+    flat = np.asarray(metric_cells, dtype=float).reshape(-1, 4)
+    return np.concatenate([(flat @ _SAME_BLOCKS).ravel(), (flat @ _CROSS_BLOCKS).ravel()])
+
+
+def pcg(A, b, tol=1e-10, maxiter=None, deflate=(), x0=None, nodes=None,
+        coarsening=None):
     """Preconditioned conjugate gradients with optional deflation.
 
     The preconditioner is Jacobi, or the aggregation V-cycle built from A
     when nodes = (i, j), the grid indices of A's rows, is given.
+    coarsening: a _Coarsening that carries the cycle's aggregates from one
+    call to the next on matrices of one pattern (see _AggregationCycle).
     deflate: orthonormal null vectors of A; b and the iterates are kept in
     their orthogonal complement.  Without them, the cycle supplies the null
     vectors of the floating pieces of A it finds, and b must be orthogonal
@@ -159,7 +222,7 @@ def pcg(A, b, tol=1e-10, maxiter=None, deflate=(), x0=None, nodes=None):
         def precondition(r, z):
             np.multiply(r, inv_d, out=z)
     else:
-        cycle = _AggregationCycle(A, nodes, singular=Q is not None)
+        cycle = _AggregationCycle(A, nodes, singular=Q is not None, coarsening=coarsening)
         if Q is None and cycle.null is not None:
             Q = cycle.null
             defect = np.linalg.norm(Q.T @ b) / bnorm
@@ -236,6 +299,17 @@ _STALL = 0.8            # coarsening that keeps more of the unknowns stops
 _BRAESS = 1.5           # over-relaxation of the coarse correction
 
 
+class _Coarsening:
+    """The symbolic half of an aggregation cycle, for the matrices of one
+    pattern: per level the aggregates, their count and the _Scatter of the
+    Galerkin operator on the level's entries; and the coarsest parities.
+    levels is None until a cycle has filled it."""
+
+    def __init__(self):
+        self.levels = None
+        self.parity = None
+
+
 class _AggregationCycle:
     """Symmetric V(1,1) cycle: Jacobi smoothing damped by 4 / (3 rho), rho the
     Gershgorin bound of D^-1 A on each level, and Galerkin coarse operators
@@ -248,28 +322,48 @@ class _AggregationCycle:
     joins such a piece to anything else, so its null vectors show on the
     coarsest level; null holds them prolongated to A's rows, orthonormal,
     or None when there are none.
+
+    With an empty coarsening, the cycle records its aggregates in it and
+    sums its Galerkin operators through slot maps over every stored entry
+    (the SpGEMM of _galerkin drops sums that cancel, so its pattern can
+    change with the values); with a filled one, it takes the aggregates and
+    maps from it, so A must have the pattern of the matrix that filled it.
+    Smoothers, coarse values, the coarse factor and the null vectors are
+    always A's own.
     """
 
-    def __init__(self, A, nodes, singular=False):
-        i, j = (np.asarray(v) for v in nodes)
-        bi, bj, parity = i // 3, j // 3, (i + j) % 2
-        strong = _STRONG
+    def __init__(self, A, nodes, singular=False, coarsening=None):
         self.levels = []
-        while A.shape[0] > _COARSE_SIZE:
-            n = A.shape[0]
-            rows = np.repeat(np.arange(n, dtype=A.indices.dtype), np.diff(A.indptr))
-            key = ((bi * (bj.max() + 1) + bj) * 2 + parity).astype(A.indices.dtype)
-            nc, agg = _aggregates(A, rows, key, strong)
-            if nc > _STALL * n:
-                break
-            inv_d = _inverse_diagonal(A)
-            rho = np.max(np.bincount(rows, weights=np.abs(A.data), minlength=n) * inv_d)
-            self.levels.append((A, inv_d * (4.0 / (3.0 * rho)), agg, nc))
-            A = _galerkin(A, agg, nc)
-            first = np.empty(nc, dtype=agg.dtype)
-            first[agg] = np.arange(n, dtype=agg.dtype)
-            bi, bj, parity = bi[first] // 2, bj[first] // 2, parity[first]
-            strong = 0.0
+        if coarsening is not None and coarsening.levels is not None:
+            for agg, nc, galerkin in coarsening.levels:
+                self._add_level(A, _entry_rows(A), agg, nc)
+                A = galerkin(A.data)
+            parity = coarsening.parity
+        else:
+            i, j = (np.asarray(v) for v in nodes)
+            bi, bj, parity = i // 3, j // 3, (i + j) % 2
+            strong = _STRONG
+            record = []
+            while A.shape[0] > _COARSE_SIZE:
+                n = A.shape[0]
+                rows = _entry_rows(A)
+                key = ((bi * (bj.max() + 1) + bj) * 2 + parity).astype(A.indices.dtype)
+                nc, agg = _aggregates(A, rows, key, strong)
+                if nc > _STALL * n:
+                    break
+                self._add_level(A, rows, agg, nc)
+                if coarsening is None:
+                    A = _galerkin(A, agg, nc)
+                else:
+                    galerkin = _Scatter(agg[rows], agg[A.indices], (nc, nc))
+                    record.append((agg, nc, galerkin))
+                    A = galerkin(A.data)
+                first = np.empty(nc, dtype=agg.dtype)
+                first[agg] = np.arange(n, dtype=agg.dtype)
+                bi, bj, parity = bi[first] // 2, bj[first] // 2, parity[first]
+                strong = 0.0
+            if coarsening is not None:
+                coarsening.levels, coarsening.parity = record, parity
         null = [] if singular else _floating_null_vectors(A, parity)
         dense = A.toarray()
         if singular or null:
@@ -288,6 +382,13 @@ class _AggregationCycle:
                 V = V[agg]
             self.null = V / np.linalg.norm(V, axis=0)
 
+    def _add_level(self, A, rows, agg, nc):
+        """A level on A with its damped Jacobi weights; rows holds the row of
+        each stored entry."""
+        inv_d = _inverse_diagonal(A)
+        rho = np.max(np.bincount(rows, weights=np.abs(A.data), minlength=A.shape[0]) * inv_d)
+        self.levels.append((A, inv_d * (4.0 / (3.0 * rho)), agg, nc))
+
     def __call__(self, b, level=0):
         if level == len(self.levels):
             return dpptrs(len(b), self.coarse, b, lower=1)[0]
@@ -300,14 +401,19 @@ class _AggregationCycle:
         return x
 
 
+def _entry_rows(A):
+    """The row of each stored entry of the CSR matrix A."""
+    return np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), np.diff(A.indptr))
+
+
 def _floating_null_vectors(A, parity):
     """Null vectors of the sparse operator A on its pieces that no datum
-    reaches.  A piece is a connected component of A's couplings.  On a piece
-    that couples to no datum, one-point stiffness annihilates the constant
-    and the checkerboard, hence also the piece's even and odd indicators,
-    which are orthogonal.  A piece floats when |A v| <= 1e-9 diag(A) on each
-    of its rows for both."""
-    nc, piece = _cs_components(A, directed=False)
+    reaches.  A piece is a connected component of A's nonzero couplings.  On
+    a piece that couples to no datum, one-point stiffness annihilates the
+    constant and the checkerboard, hence also the piece's even and odd
+    indicators, which are orthogonal.  A piece floats when
+    |A v| <= 1e-9 diag(A) on each of its rows for both."""
+    nc, piece = _components(A, A.data != 0)
     even = parity == 0
     small = 1e-9 * np.abs(A.diagonal())
     quiet_const, quiet_checker = (
@@ -329,13 +435,18 @@ def _aggregates(A, rows, key, strong):
         same = np.flatnonzero(keep)
         d = A.diagonal()
         keep[same] = A.data[same] ** 2 >= strong ** 2 * (d[rows[same]] * d[A.indices[same]])
-    # csgraph counts stored zeros as edges: drop them, in place, from copies
-    # of A's index arrays
+    nc, agg = _components(A, keep)
+    return nc, agg.astype(A.indices.dtype)
+
+
+def _components(A, keep):
+    """Connected components of the graph of A's stored entries where the
+    boolean keep holds.  csgraph counts stored zeros as edges, so the others
+    are dropped, in place, from copies of A's index arrays."""
     G = sp.csr_matrix((keep.view(np.int8), A.indices.copy(), A.indptr.copy()),
                       shape=A.shape)
     G.eliminate_zeros()
-    nc, agg = _cs_components(G, directed=False)
-    return nc, agg.astype(A.indices.dtype)
+    return _cs_components(G, directed=False)
 
 
 def _galerkin(A, agg, nc):
@@ -539,8 +650,8 @@ def _energy_and_gradient(topology, integrand, u, free, xc, yc, cells=None, load=
     u[free] with the deflated components removed, and the cell gradients;
     (xc, yc) are the centers of the cells."""
     g = cell_gradients(topology, u, cells=cells)
-    E = topology.grid.h ** 2 * float(np.sum(integrand.eval_f(xc, yc, g)))
-    sigma = integrand.grad_f(xc, yc, g)
+    f, sigma = integrand.eval_f_and_grad(xc, yc, g)
+    E = topology.grid.h ** 2 * float(np.sum(f))
     grad = scatter_weak_divergence(topology, sigma, cells=cells)[free]
     if load is not None:
         E -= float(load @ u[free])
@@ -579,6 +690,10 @@ def newton(topology, integrand, u, free, *, eps, tol, gtol, stall_gtol, gfloor,
     M0[:, 1, 1] = c
     K0 = assemble_metric(topology, M0, cells=cells)
     nodes = topology.grid.node_ij(topology.dof_node[free])
+    # the Hessians of all steps share one pattern: build it, and the cycle's
+    # aggregates (from the first Hessian), once
+    block = _free_block(topology, free, cells)
+    coarsening = _Coarsening()
     total_iters = 0
     if len(free):
         b0 = -(K0 @ u)[free]
@@ -602,8 +717,8 @@ def newton(topology, integrand, u, free, *, eps, tol, gtol, stall_gtol, gfloor,
         H += ((p - 2.0) * c * r2 ** ((p - 4.0) / 2.0))[:, None, None] * (
             g[:, :, None] * g[:, None, :]
         )
-        K = assemble_metric(topology, H, cells=cells)
-        dx, inner, _ = pcg(K[free][:, free], -grad, tol=1e-6, deflate=deflate, nodes=nodes)
+        dx, inner, _ = pcg(block(_element_values(H)), -grad, tol=1e-6, deflate=deflate,
+                           nodes=nodes, coarsening=coarsening)
         total_iters += inner
         slope = grad @ dx
         alpha = 1.0

@@ -1,3 +1,12 @@
+import os
+
+# One BLAS/OpenMP thread, as the benchmark workers run: threaded BLAS on the
+# small vectors of pcg waits on its threads more than it computes.  Set
+# before numpy is imported; a value already in the environment wins.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -44,6 +44,19 @@ def test_gradients_at_zero_are_zero_without_warnings():
         assert np.array_equal(ppower_integrand(3.0).grad_fstar(x, y, xi), xi)
 
 
+@pytest.mark.parametrize("integrand", [ppower_integrand(1.5), ppower_integrand(3.0),
+                                       ppower_integrand(2.0, CheckerboardCoefficient(1.0, 10.0, 0.25)),
+                                       meyers_integrand(3.0)])
+def test_f_and_grad_in_one_pass_match_eval_f_and_grad_f_bit_for_bit(integrand):
+    rng = np.random.default_rng(4)
+    x, y = rng.uniform(-0.5, 0.5, size=(2, 40))
+    xi = rng.standard_normal((40, 2))
+    xi[::5] = 0.0
+    f, grad = integrand.eval_f_and_grad(x, y, xi)
+    assert np.array_equal(f, integrand.eval_f(x, y, xi))
+    assert np.array_equal(grad, integrand.grad_f(x, y, xi))
+
+
 def test_grad_matches_finite_difference_p15():
     f = ppower_integrand(1.5, 1.0)
     x = np.array([0.1])

@@ -18,7 +18,14 @@ from fracturelab.energy import (
 )
 from fracturelab.errors import NoConvergence
 from fracturelab.geometry import CrackSet, Cover, Disk, Domain, Grid, cut_grid
-from fracturelab.solver import assemble_metric, cell_gradients, pcg, solve
+from fracturelab.solver import (
+    _element_values,
+    _free_block,
+    assemble_metric,
+    cell_gradients,
+    pcg,
+    solve,
+)
 
 from conftest import hslit, linear_x, vslit
 
@@ -122,6 +129,30 @@ def test_cell_subset_matches_reference():
     M = meyers_integrand(3.0, "radial_stiff").cell_metric(xc - 0.5, yc - 0.5)[cells]
     assert_matches_reference(topo, M, cells=cells)
     assert_matches_reference(topo, np.tile(np.eye(2), (len(cells), 1, 1)), cells=cells)
+
+
+@pytest.mark.parametrize("on", ["all cells", "every third cell"])
+def test_free_block_matches_the_sliced_assembly(on):
+    # the Newton Hessians' pattern is built once and refilled per step; it
+    # must hold what slicing the assembled stiffness gives, for isotropic
+    # metrics (whose cross-parity slots hold zeros) and anisotropic ones
+    grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 32)
+    xc, yc = grid.cell_centers()
+    cells = None if on == "all cells" else np.arange(grid.n_cells)[::3]
+    metrics = [laplace_integrand().cell_metric(xc, yc),
+               meyers_integrand(3.0, "radial_stiff").cell_metric(xc - 0.5, yc - 0.5)]
+    if cells is not None:
+        metrics = [M[cells] for M in metrics]
+    for topo in cracked_topologies(grid):
+        assert topo.n_duplicates > 0
+        free = np.setdiff1d(np.arange(topo.n_dofs), topo.constrained_dofs())
+        assert 0 < len(free) < topo.n_dofs
+        block = _free_block(topo, free, cells)
+        for M in metrics:
+            K = assemble_metric(topo, M, cells=cells)[free][:, free].toarray()
+            B = block(_element_values(M))
+            assert B.shape == K.shape
+            assert np.abs(B.toarray() - K).max() <= 1e-15 * np.abs(K).max()
 
 
 def test_deflated_pcg_on_neumann_collar_matches_lstsq():

@@ -11,13 +11,15 @@ import pytest
 import scipy.sparse as sp
 
 from fracturelab import solver
-from fracturelab.dual import _collar_null_vectors, cutoff, member_collar
+from fracturelab.dual import _collar_null_vectors, cutoff, member_collar, release_bound
 from fracturelab.energy import laplace_integrand, meyers_integrand, ppower_integrand
 from fracturelab.errors import NoConvergence
 from fracturelab.geometry import Cover, Disk, Domain, Grid, cut_grid
 from fracturelab.search import EnergyLandscape
 from fracturelab.solver import (
     _AggregationCycle,
+    _Coarsening,
+    _floating_null_vectors,
     assemble_metric,
     cell_gradients,
     pcg,
@@ -152,9 +154,12 @@ def test_newton_with_cycle_matches_jacobi_newton(monkeypatch):
     assert rep.inner_iterations < ref.inner_iterations
 
 
-def strip_system(grid, row):
-    """Free-free Laplace stiffness of a full cut at `row`, with its rhs."""
-    field, _ = solve(grid, laplace_integrand(), linear_x, hslit(grid, 0, row, grid.nx))
+def strip_system(grid, *rows):
+    """Free-free Laplace stiffness of full cuts at `rows`, with its rhs."""
+    crack = hslit(grid, 0, rows[0], grid.nx)
+    for row in rows[1:]:
+        crack = crack.union(hslit(grid, 0, row, grid.nx))
+    field, _ = solve(grid, laplace_integrand(), linear_x, crack)
     topo = field.topology
     xc, yc = grid.cell_centers()
     K = assemble_metric(topo, laplace_integrand().cell_metric(xc, yc))
@@ -184,6 +189,37 @@ def test_cycle_deflates_a_floating_parity_chain(lr_domain):
     # anchored systems find nothing to deflate
     A, _, nodes = strip_system(grid, 16)
     assert _AggregationCycle(A, nodes).null is None
+
+
+def test_floating_chains_ignore_stored_zeros(lr_domain):
+    # Newton Hessians share one pattern, so isotropic cells store their
+    # cross-parity couplings as zeros; a stored zero must not join a
+    # floating parity chain to the anchored rest of A
+    grid = Grid(lr_domain, 32)
+    A, _, nodes = strip_system(grid, 1, 31)
+    Q = _AggregationCycle(A, nodes).null
+    assert Q is not None and Q.shape[1] == 2
+    i, j = nodes
+    chained = np.any(Q != 0, axis=1)
+    C = A.tocoo()
+    rows, cols = [C.row], [C.col]
+    for v in Q.T:
+        r = np.flatnonzero(v)[0]
+        beside = (np.abs(i - i[r]) + np.abs(j - j[r]) == 1) & ~chained
+        c = np.flatnonzero(beside)[0]
+        rows += [[r, c]]
+        cols += [[c, r]]
+    data = np.concatenate([C.data, np.zeros(4)])
+    Z = sp.csr_matrix((data, (np.concatenate(rows), np.concatenate(cols))), shape=A.shape)
+    assert Z.nnz == A.nnz + 4
+    null = np.column_stack(_floating_null_vectors(Z, (i + j) % 2))
+    assert null.shape[1] == 2
+    null /= np.linalg.norm(null, axis=0)
+    assert np.linalg.norm(Q - null @ (null.T @ Q)) <= 1e-12
+    # the cycle that records its levels keeps stored zeros on every level
+    null = _AggregationCycle(Z, nodes, coarsening=_Coarsening()).null
+    assert null is not None and null.shape[1] == 2
+    assert np.linalg.norm(Q - null @ (null.T @ Q)) <= 1e-12
 
 
 def test_cycle_deflates_a_pure_neumann_hessian_with_cross_parity_couplings():
@@ -223,3 +259,37 @@ def test_landscape_solves_a_strip_with_a_floating_parity_chain(lr_domain):
     assert rep.bulk_energy == 0.49142295780248824
     landscape = EnergyLandscape(grid, integrand, linear_x)
     assert landscape.bulk(crack) == pytest.approx(rep.bulk_energy, rel=1e-12)
+
+
+def test_newton_aggregates_its_warm_start_and_first_hessian_only(monkeypatch):
+    # the Hessians of one Newton solve share a pattern: only the warm
+    # start's cycle and the first Hessian's compute aggregates, and every
+    # later step reuses the first Hessian's
+    calls, solves = [], []
+    aggregates = solver._aggregates
+    build = solver._AggregationCycle.__init__
+    free_block = solver._free_block
+
+    def counted_aggregates(*args, **kwargs):
+        calls.append(1)
+        return aggregates(*args, **kwargs)
+
+    def counted_build(self, *args, **kwargs):
+        before = len(calls)
+        build(self, *args, **kwargs)
+        solves[-1].append(len(calls) - before)
+
+    def new_solve(*args, **kwargs):
+        solves.append([])
+        return free_block(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_aggregates", counted_aggregates)
+    monkeypatch.setattr(solver._AggregationCycle, "__init__", counted_build)
+    monkeypatch.setattr(solver, "_free_block", new_solve)
+    grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 64)
+    _, rep = solve(grid, ppower_integrand(1.5), linear_x, vslit(grid, 32, 16, 16))
+    assert len(solves) == 1 and len(solves[0]) == rep.iterations + 1 >= 4
+    assert solves[0][0] > 0 and solves[0][1] > 0
+    release_bound(grid, ppower_integrand(1.5), linear_x, vslit(grid, 32, 26, 12), 1)
+    assert len(solves) > 2
+    assert all(len(builds) >= 2 and not any(builds[2:]) for builds in solves)
