@@ -331,14 +331,19 @@ class CrackSet:
             ids.add(b)
         return np.array(sorted(ids), dtype=int)
 
+    @classmethod
+    def _checked(cls, grid: Grid, edges: frozenset):
+        """A crack of edges already checked on this lattice (no re-validation)."""
+        crack = cls.__new__(cls)
+        crack.grid = grid
+        crack.edges = edges
+        return crack
+
     def union(self, other: "CrackSet"):
         """Edges of both cracks; both were checked on this lattice already."""
         if other.grid is not self.grid and not _same_lattice(other.grid, self.grid):
             raise NonConformingCrack("union with a crack from a different grid")
-        crack = CrackSet.__new__(CrackSet)
-        crack.grid = self.grid
-        crack.edges = self.edges | other.edges
-        return crack
+        return CrackSet._checked(self.grid, self.edges | other.edges)
 
     def sorted_edges(self):
         return sorted(self.edges)
@@ -544,6 +549,101 @@ def cut_grid(grid: Grid, crack: CrackSet = None) -> CutTopology:
     if crack.grid is not grid and not _same_lattice(crack.grid, grid):
         raise NonConformingCrack("crack was built on a different grid")
     return CutTopology(grid, crack)
+
+
+def _closes_a_cycle(grid: Grid, edges) -> bool:
+    """Do the interior edges close a cycle once the boundary is one vertex?
+
+    Only then can they cut a region of cells off from the others.
+    """
+    nx, ny = grid.nx, grid.ny
+    parent = {}     # union-find over nodes; None is the contracted boundary
+
+    def root(node):
+        while node in parent:
+            up = parent[node]
+            parent[node] = parent.get(up, up)      # path halving
+            node = up
+        return node
+
+    for kind, i, j in edges:
+        if kind == "v" and 0 < i < nx:
+            ends = ((i, j), (i, j + 1))
+        elif kind == "h" and 0 < j < ny:
+            ends = ((i, j), (i + 1, j))
+        else:
+            continue    # an edge on the boundary parts no cells
+        ra, rb = (root(n if 0 < n[0] < nx and 0 < n[1] < ny else None) for n in ends)
+        if ra == rb:
+            return True
+        parent[ra] = rb
+    return False
+
+
+def effective_crack(grid: Grid, crack: CrackSet) -> CrackSet:
+    """The part of a crack that the Dirichlet datum reaches.
+
+    A cell is reached when its cell component (cells joined across interior
+    edges not in the crack) has a corner on a Dirichlet node off the crack.
+    Kept are the edges with a reached flank cell and every edge with an
+    endpoint on a Dirichlet node.  Any other edge only separates cells that
+    solve() pins to 0, so dropping it merges floating cells and leaves the
+    reached cells' dofs and the constrained dofs as they were: the bulk
+    problem, its energy and its power are those of the crack.  Returns the
+    crack itself when nothing can be dropped.
+    """
+    if crack.grid is not grid and not _same_lattice(crack.grid, grid):
+        raise NonConformingCrack("crack was built on a different grid")
+    if not _closes_a_cycle(grid, crack.edges):
+        return crack
+    nx, ny = grid.nx, grid.ny
+    edges = list(crack.edges)
+    vert = np.fromiter((e[0] == "v" for e in edges), dtype=bool, count=len(edges))
+    i = np.fromiter((e[1] for e in edges), dtype=np.int32, count=len(edges))
+    j = np.fromiter((e[2] for e in edges), dtype=np.int32, count=len(edges))
+    a = i + j * (nx + 1)
+    b = a + np.where(vert, nx + 1, 1)
+
+    # cell components across the uncut interior edges
+    hcut = np.zeros((ny + 1, nx), dtype=bool)
+    vcut = np.zeros((ny, nx + 1), dtype=bool)
+    hcut[j[~vert], i[~vert]] = True
+    vcut[j[vert], i[vert]] = True
+    cid = np.arange(grid.n_cells, dtype=np.int32).reshape(ny, nx)
+    across_v = ~vcut[:, 1:nx]
+    across_h = ~hcut[1:ny, :]
+    rows = np.concatenate([cid[:, :-1][across_v], cid[:-1, :][across_h]])
+    cols = np.concatenate([cid[:, 1:][across_v], cid[1:, :][across_h]])
+    adj = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
+                     shape=(grid.n_cells, grid.n_cells))
+    n_comp, labels = _cs_components(adj, directed=False)
+    labels = labels.reshape(ny, nx)
+
+    # reached components: a corner on a Dirichlet node off the crack
+    dirichlet = np.zeros(grid.n_nodes, dtype=bool)
+    dirichlet[grid.dirichlet_nodes()] = True
+    on_crack = np.zeros(grid.n_nodes, dtype=bool)
+    on_crack[a] = True
+    on_crack[b] = True
+    ni, nj = grid.node_ij(np.flatnonzero(dirichlet & ~on_crack))
+    reached_comp = np.zeros(n_comp, dtype=bool)
+    for di in (-1, 0):
+        for dj in (-1, 0):
+            ci, cj = ni + di, nj + dj
+            ok = (ci >= 0) & (ci < nx) & (cj >= 0) & (cj < ny)
+            reached_comp[labels[cj[ok], ci[ok]]] = True
+    reached = reached_comp[labels]
+
+    # flank cells: below/above an "h" edge, left/right of a "v" edge
+    i0, j0 = np.where(vert, i - 1, i), np.where(vert, j, j - 1)
+    first = (i0 >= 0) & (j0 >= 0)
+    second = np.where(vert, i < nx, j < ny)
+    keep = dirichlet[a] | dirichlet[b]
+    keep[first] |= reached[j0[first], i0[first]]
+    keep[second] |= reached[j[second], i[second]]
+    if keep.all():
+        return crack
+    return CrackSet._checked(grid, frozenset(e for e, k in zip(edges, keep) if k))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ import numpy as np
 
 from .energy import PPOWER, QUADRATIC
 from .errors import InsufficientData
-from .geometry import CrackSet, Grid
-from .search import CrackFamily, EnergyLandscape, argmin_with_tolerance
+from .geometry import CrackSet, Grid, cut_grid
+from .search import CrackFamily, EnergyLandscape, argmin_with_tolerance, lift
 from .solver import solve
 
 ZERO_SPEED_MARGIN = 0.5
@@ -33,6 +33,9 @@ class Trajectory:
     trapezoidal accumulation of the external power; balance_residual is
     |E(t) - E(0) - work(t)| per step.  Displacements are stored once per
     distinct crack at unit datum and scaled on access (u(t) = t * v).
+    unit_values maps each chosen crack's edge set to its unit-datum dof
+    values on cut_grid(grid, crack); a crack solved through its effective
+    crack (see search.EnergyLandscape) gets that solve's values lifted.
     """
 
     t: np.ndarray
@@ -78,13 +81,16 @@ def evolve(landscape: EnergyLandscape, family: CrackFamily, k: float,
     v_grad = v_field.gradients()
     xc, yc = grid.cell_centers()
     h2 = grid.h ** 2
-    wdot_unit = {}      # crack edge-set -> external power at unit datum
+    # wdot_unit and step_values are keyed by effective edges, with
+    # step_values on the effective crack's cut grid
+    wdot_unit = {}      # external power at unit datum
     unit_values = {}    # chosen crack edge-set -> unit-datum dof values
     step_values = {}    # the current step's candidates -> unit-datum dof values
 
     # pairing the stress with the uncracked unit field equals pairing with any
     # lift of the datum, because their difference is an admissible variation.
-    # Called from bulk_many's worker threads: each call stores its own keys.
+    # Called from bulk_many's worker threads with effective cracks: each call
+    # stores its own keys.
     def record(crack: CrackSet, fld):
         sig = integrand.grad_f(xc, yc, fld.gradients())
         wdot_unit[crack.edges] = h2 * float(np.einsum("ci,ci->", sig, v_grad))
@@ -109,23 +115,29 @@ def evolve(landscape: EnergyLandscape, family: CrackFamily, k: float,
                 seen.add(u.edges)
                 cands.append(u)
         # a candidate stays one at every later step for as long as it contains
-        # the chosen crack, so carrying the values of the candidates forward
-        # from step to step covers every later pick
-        kept = {c.edges: step_values[c.edges] for c in cands if c.edges in step_values}
+        # the chosen crack, so carrying the values of the candidates' classes
+        # forward from step to step covers every later pick
+        effs = [landscape.effective(c).edges for c in cands]
+        kept = {e: step_values[e] for e in effs if e in step_values}
         step_values.clear()
         step_values.update(kept)
         unit_bulks = landscape.bulk_many(cands, workers, on_field=record)
         totals = [t ** p * b + k * c.h1() for b, c in zip(unit_bulks, cands)]
         pick = argmin_with_tolerance(totals)
         crack = cands[pick]
-        if crack.edges not in step_values:
-            # energy cached before evolve began
-            record(crack, landscape.solve_field(crack))
-        unit_values.setdefault(crack.edges, step_values[crack.edges])
+        eff = landscape.effective(crack)
+        if crack.edges not in unit_values:
+            if eff.edges not in step_values:
+                # energy cached before evolve began
+                record(eff, landscape.solve_field(eff))
+            values = step_values[eff.edges]
+            if len(eff) != len(crack):
+                values = lift(values, cut_grid(grid, eff), cut_grid(grid, crack))
+            unit_values[crack.edges] = values
         cracks.append(crack)
         h1s.append(crack.h1())
         bulks.append(t ** p * unit_bulks[pick])
-        power = t ** (p - 1.0) * wdot_unit[crack.edges]
+        power = t ** (p - 1.0) * wdot_unit[eff.edges]
         works.append(works[-1] + 0.5 * (times[j] - times[j - 1]) * (power_prev + power))
         power_prev = power
 

@@ -1,9 +1,11 @@
 """Brute-force minimization of the total energy over finite crack families.
 
 Families are finite and declared up front; candidate solves are independent
-and cached by edge set, and every reduction is a deterministic
-tolerance-then-enumeration-order argmin, so results do not depend on the
-worker count.
+and cached by effective edges (the part of a crack the Dirichlet datum
+reaches, see geometry.effective_crack), so cracks that differ only inside
+regions the datum cannot reach share one solve.  Every reduction is a
+deterministic tolerance-then-enumeration-order argmin, so results do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyFamily, InvalidProbe
-from .geometry import CrackSet, Grid
-from .solver import solve
+from .geometry import CrackSet, CutTopology, Grid, cut_grid, effective_crack
+from .solver import ScalarField, solve
 
 ARGMIN_RTOL = 1e-9
 
@@ -46,50 +48,88 @@ def argmin_with_tolerance(values, rtol: float = ARGMIN_RTOL):
 # ---------------------------------------------------------------------------
 
 
+def lift(values, source: CutTopology, target: CutTopology):
+    """Dof values on source moved onto target cell corner by cell corner.
+
+    For a crack and its effective crack the reached cells address the same
+    dof partition in both topologies and every other dof is pinned to 0, so
+    the lifted values give every cell the same gradient, bit for bit.
+    """
+    out = np.zeros(target.n_dofs)
+    out[target.cell_dofs] = values[source.cell_dofs]
+    return out
+
+
 class EnergyLandscape:
-    """One boundary-value problem; bulk energies cached per crack."""
+    """One boundary-value problem; bulk energies cached per effective crack.
+
+    Each crack is solved through its effective crack, whose edges are
+    memoised per edge set, and the cache is keyed on the effective edges: a
+    union of nested circles costs no solve once the outer circle is cached.
+    Every crack of one effective class gets the same energy, and the same
+    field lifted onto its own cut grid, bit for bit.
+    """
 
     def __init__(self, grid: Grid, integrand, psi, tol: float = 1e-10):
         self.grid = grid
         self.integrand = integrand
         self.psi = psi
         self.tol = tol
-        self._bulk = {}
+        self._bulk = {}         # effective edge set -> bulk energy
+        self._effective = {}    # edge set -> effective crack
         self.empty_crack = CrackSet(grid)
+
+    def effective(self, crack: CrackSet = None) -> CrackSet:
+        """The effective crack of crack (geometry.effective_crack), memoised."""
+        crack = crack or self.empty_crack
+        # a crack from another Grid object is checked against the lattice
+        eff = self._effective.get(crack.edges) if crack.grid is self.grid else None
+        if eff is None:
+            eff = effective_crack(self.grid, crack)
+            self._effective[crack.edges] = eff
+            self._effective.setdefault(eff.edges, eff)
+        return eff
 
     def solve_field(self, crack: CrackSet = None):
         """Solve for one crack; its bulk energy is cached as a by-product.
 
-        Quadratic-form candidates run CG on the aggregation cycle: landscape
-        callers read energies and power pairings, not the CG residual's
-        smooth part that a direct solve() keeps small (see solver).
+        The effective crack is solved; a crack that differs from it gets the
+        field lifted onto its own cut grid.  Quadratic-form candidates run CG
+        on the aggregation cycle: landscape callers read energies and power
+        pairings, not the CG residual's smooth part that a direct solve()
+        keeps small (see solver).
         """
         crack = crack or self.empty_crack
-        fld, report = solve(self.grid, self.integrand, self.psi, crack, tol=self.tol,
+        eff = self.effective(crack)
+        fld, report = solve(self.grid, self.integrand, self.psi, eff, tol=self.tol,
                             _cycle=True)
-        self._bulk[crack.edges] = report.bulk_energy
-        return fld
+        self._bulk[eff.edges] = report.bulk_energy
+        if len(eff) == len(crack):
+            return fld
+        top = cut_grid(self.grid, crack)
+        return ScalarField(top, fld.integrand, lift(fld.values, fld.topology, top),
+                           fld.psi, fld.constrained)
 
     def bulk(self, crack: CrackSet = None) -> float:
-        crack = crack or self.empty_crack
-        if crack.edges not in self._bulk:
-            self.solve_field(crack)
-        return self._bulk[crack.edges]
+        eff = self.effective(crack)
+        if eff.edges not in self._bulk:
+            self.solve_field(eff)
+        return self._bulk[eff.edges]
 
     def bulk_many(self, cracks, workers: int = 1, on_field=None):
-        """Bulk energies of cracks, solving each uncached edge set once.
+        """Bulk energies of cracks, solving each uncached effective crack once.
 
-        on_field(crack, field), when given, is called with every field solved
-        here, from the worker threads when workers > 1; fields are dropped
-        after it returns.
+        on_field(effective crack, field), when given, is called with every
+        field solved here, on the effective crack's cut grid, from the worker
+        threads when workers > 1; fields are dropped after it returns.
         """
-        cracks = list(cracks)
+        effs = [self.effective(c) for c in cracks]
         missing = []
         seen = set()
-        for c in cracks:
-            if c.edges not in self._bulk and c.edges not in seen:
-                seen.add(c.edges)
-                missing.append(c)
+        for e in effs:
+            if e.edges not in self._bulk and e.edges not in seen:
+                seen.add(e.edges)
+                missing.append(e)
 
         def run(crack):
             fld = self.solve_field(crack)
@@ -97,7 +137,7 @@ class EnergyLandscape:
                 on_field(crack, fld)
 
         ordered_map(run, missing, workers)
-        return [self._bulk[c.edges] for c in cracks]
+        return [self._bulk[e.edges] for e in effs]
 
 
 # ---------------------------------------------------------------------------
@@ -164,20 +204,13 @@ def circle_crack(grid: Grid, center, r: float) -> CrackSet:
     if grid.domain.distance_to_boundary(cx, cy) <= r + grid.h:
         raise InvalidProbe(f"circle of radius {r:g} at ({cx:g},{cy:g}) not interior")
     xc, yc = grid.cell_centers()
-    inside = ((xc - cx) ** 2 + (yc - cy) ** 2 <= r * r).reshape(grid.ny, grid.nx).T
-    edges = []
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            if not inside[i, j]:
-                continue
-            if i == 0 or not inside[i - 1, j]:
-                edges.append(("v", i, j))
-            if i == grid.nx - 1 or not inside[i + 1, j]:
-                edges.append(("v", i + 1, j))
-            if j == 0 or not inside[i, j - 1]:
-                edges.append(("h", i, j))
-            if j == grid.ny - 1 or not inside[i, j + 1]:
-                edges.append(("h", i, j + 1))
+    inside = ((xc - cx) ** 2 + (yc - cy) ** 2 <= r * r).reshape(grid.ny, grid.nx)
+    inside = np.pad(inside, 1)      # [j + 1, i + 1], outside the grid is out
+    # ("v", i, j) parts cells (i - 1, j) and (i, j); ("h", i, j) parts (i, j - 1) and (i, j)
+    vj, vi = np.nonzero(inside[1:-1, :-1] != inside[1:-1, 1:])
+    hj, hi = np.nonzero(inside[:-1, 1:-1] != inside[1:, 1:-1])
+    edges = ([("v", i, j) for i, j in zip(vi.tolist(), vj.tolist())]
+             + [("h", i, j) for i, j in zip(hi.tolist(), hj.tolist())])
     if not edges:
         raise InvalidProbe(f"circle of radius {r:g} encloses no cell centers")
     return CrackSet(grid, edges)

@@ -10,6 +10,7 @@ from fracturelab.geometry import (
     connected_components,
     cover_crack,
     cut_grid,
+    effective_crack,
     h1_measure,
     read_crack_file,
     write_crack_file,
@@ -245,6 +246,55 @@ def test_union_with_crack_from_another_lattice_raises():
     square = Grid(Domain.unit_square(), 32)
     with pytest.raises(NonConformingCrack):
         hslit(square, 2, 3, 4).union(hslit(wide, 8, 16, 16))
+
+
+# --- effective cracks ------------------------------------------------------------
+
+
+def box(grid, i0, j0, i1, j1):
+    """Closed rectangle of edges around the cells [i0, i1) x [j0, j1)."""
+    edges = [("h", i, j) for i in range(i0, i1) for j in (j0, j1)]
+    edges += [("v", i, j) for i in (i0, i1) for j in range(j0, j1)]
+    return CrackSet(grid, edges)
+
+
+def test_effective_crack_drops_edges_inside_floating_regions(monkeypatch):
+    grid = Grid(Domain.unit_square(dirichlet="all"), 12)
+    outer, inner = box(grid, 2, 2, 10, 10), box(grid, 4, 4, 7, 7)
+    slit = vslit(grid, 5, 3, 3)
+    touching = box(grid, 2, 2, 5, 5)        # shares two sides with the outer box
+    assert effective_crack(grid, slit) is slit          # no cycle: pre-test
+    assert effective_crack(grid, outer) is outer        # the outside reaches it
+
+    def no_check(self, edge):
+        raise AssertionError("the effective crack re-validated an edge")
+
+    monkeypatch.setattr(Grid, "edge_valid", no_check)
+    for crack in (outer.union(inner), outer.union(slit), outer.union(inner).union(slit)):
+        eff = effective_crack(grid, crack)
+        assert eff.grid is grid and eff.edges == outer.edges
+    # an inner box touching the outer one keeps the shared edges only
+    assert effective_crack(grid, outer.union(touching)).edges == outer.edges
+    monkeypatch.undo()
+    # under Neumann sides the outer box's inside is reached through no node
+    lr = Grid(Domain.unit_square(dirichlet=("left",)), 12)
+    assert effective_crack(lr, box(lr, 2, 2, 10, 10).union(box(lr, 4, 4, 7, 7))).edges == \
+        box(lr, 2, 2, 10, 10).edges
+    # a cut from the bottom to the right side closes a cycle through the
+    # boundary; the corner it cuts off touches no Dirichlet node
+    corner = CrackSet(lr, [("h", i, 4) for i in range(6, 12)] + [("v", 6, j) for j in range(4)])
+    inside = vslit(lr, 9, 1, 2)
+    assert effective_crack(lr, corner.union(inside)).edges == corner.edges
+
+
+def test_effective_crack_checks_the_lattice():
+    wide = Grid(Domain.rectangle(0.0, 0.0, 2.0, 1.0), 64, 32)
+    square = Grid(Domain.unit_square(), 32)
+    with pytest.raises(NonConformingCrack):
+        effective_crack(square, hslit(wide, 8, 16, 16))
+    twin = Grid(Domain.unit_square(dirichlet=("left", "right")), 32)
+    crack = hslit(twin, 8, 16, 16)
+    assert effective_crack(square, crack) is crack
 
 
 # --- crack files ---------------------------------------------------------------

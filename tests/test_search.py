@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
+from fracturelab import search
 from fracturelab.energy import laplace_integrand, meyers_integrand
-from fracturelab.errors import EmptyFamily, InvalidProbe
-from fracturelab.geometry import CrackSet, Domain, Grid, connected_components
+from fracturelab.errors import EmptyFamily, InvalidProbe, NonConformingCrack
+from fracturelab.geometry import (
+    CrackSet,
+    Domain,
+    Grid,
+    connected_components,
+    cut_grid,
+    effective_crack,
+)
 from fracturelab.search import (
     EnergyLandscape,
     boundary_debond_family,
@@ -17,7 +25,7 @@ from fracturelab.search import (
     segments_family,
 )
 from fracturelab.singularity import meyers_profile
-from fracturelab.solver import solve
+from fracturelab.solver import bulk_energy, solve
 
 from conftest import linear_x
 
@@ -51,6 +59,35 @@ def test_circle_crack_separates_and_length():
     assert len(comps) == 1
     # staircase length is at least the inscribed-square perimeter
     assert crack.h1() >= 4 * 2 * 0.15 * 0.7
+
+
+def test_circle_crack_matches_the_cell_loop():
+    def by_cells(grid, cx, cy, r):
+        xc, yc = grid.cell_centers()
+        inside = ((xc - cx) ** 2 + (yc - cy) ** 2 <= r * r).reshape(grid.ny, grid.nx).T
+        edges = set()
+        for i in range(grid.nx):
+            for j in range(grid.ny):
+                if not inside[i, j]:
+                    continue
+                if i == 0 or not inside[i - 1, j]:
+                    edges.add(("v", i, j))
+                if i == grid.nx - 1 or not inside[i + 1, j]:
+                    edges.add(("v", i + 1, j))
+                if j == 0 or not inside[i, j - 1]:
+                    edges.add(("h", i, j))
+                if j == grid.ny - 1 or not inside[i, j + 1]:
+                    edges.add(("h", i, j + 1))
+        return edges
+
+    square = Grid(Domain.unit_square(), 64)
+    wide = Grid(Domain.rectangle(-1.0, -0.5, 1.0, 0.5), 96, 48)
+    for grid, cx, cy, r in ((square, 0.5, 0.5, 0.15), (square, 0.3, 0.6, 0.047),
+                            (square, 0.51, 0.49, 0.3), (square, 0.25, 0.3, 0.02),
+                            (wide, 0.0, 0.0, 0.21), (wide, -0.4, 0.1, 0.33)):
+        crack = circle_crack(grid, (cx, cy), r)
+        assert crack.edges == by_cells(grid, cx, cy, r)
+        assert all(type(v) is int for e in crack.edges for v in e[1:])
 
 
 def test_circle_crack_needs_interior_center():
@@ -246,3 +283,119 @@ def test_landscape_cycle_energies_match_jacobi_solves():
             assert rep.iterations == jacobi_iters
             assert landscape.bulk(crack) == pytest.approx(rep.bulk_energy, rel=1e-12,
                                                           abs=1e-15 * scale)
+
+
+# --- effective cracks ---------------------------------------------------------------
+
+
+def quadratic_datum(x, y):
+    return np.asarray(x, dtype=float) + 0.5 * np.asarray(y, dtype=float) ** 2
+
+
+def random_crack(grid, rng):
+    """A union of 1 to 4 closed boxes, full cuts and boundary debonds."""
+    n = grid.nx
+    edges = set()
+    for _ in range(rng.integers(1, 5)):
+        kind = rng.integers(3)
+        if kind == 0:
+            i0, i1 = sorted(rng.choice(n + 1, 2, replace=False).tolist())
+            j0, j1 = sorted(rng.choice(n + 1, 2, replace=False).tolist())
+            edges |= {("h", i, j) for i in range(i0, i1) for j in (j0, j1)}
+            edges |= {("v", i, j) for i in (i0, i1) for j in range(j0, j1)}
+        elif kind == 1:
+            c = int(rng.integers(1, n))
+            edges |= ({("v", c, j) for j in range(n)} if rng.integers(2)
+                      else {("h", i, c) for i in range(n)})
+        else:
+            side = grid.boundary_edges(("left", "right", "bottom", "top")[rng.integers(4)])
+            start = int(rng.integers(n))
+            edges |= set(side[start:start + int(rng.integers(1, n + 1))])
+    return CrackSet(grid, edges)
+
+
+@pytest.mark.parametrize("dirichlet", [("left", "right"), "all", ("left",),
+                                       ("bottom", "right")])
+def test_landscape_energies_and_fields_of_reduced_cracks_match_direct_solves(dirichlet):
+    # a crack solved through its effective crack gets the energy and, lifted
+    # onto its own cut grid, the field of a direct solve of the crack
+    grid = Grid(Domain.unit_square(dirichlet=dirichlet), 12)
+    integrand = laplace_integrand()
+    land = EnergyLandscape(grid, integrand, quadratic_datum)
+    rng = np.random.default_rng(11)
+    reduced = 0
+    for _ in range(75):
+        crack = random_crack(grid, rng)
+        direct, rep = solve(grid, integrand, quadratic_datum, crack)
+        reduced += len(land.effective(crack)) < len(crack)
+        assert land.bulk(crack) == pytest.approx(rep.bulk_energy, rel=1e-9, abs=1e-13)
+        field = land.solve_field(crack)
+        assert field.topology.n_dofs == direct.topology.n_dofs
+        assert np.array_equal(field.topology.cell_dofs, direct.topology.cell_dofs)
+        assert np.array_equal(field.constrained, direct.constrained)
+        assert np.allclose(field.values, direct.values, rtol=0, atol=1e-8)
+        assert bulk_energy(field) == land.bulk(crack)
+    assert reduced >= 5
+
+
+def test_debond_edges_at_dirichlet_nodes_stay_in_the_effective_crack():
+    # a full cut, with the whole left side debonded, leaves the left piece
+    # floating; its debond edges still decide which nodes carry the datum
+    grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 12)
+    integrand = laplace_integrand()
+    cut = CrackSet(grid, [("v", 6, j) for j in range(12)])
+    debond = CrackSet(grid, grid.boundary_edges("left"))
+    slit = CrackSet(grid, [("v", 3, j) for j in range(4, 8)])     # inside the left piece
+    crack = cut.union(debond).union(slit)
+    eff = effective_crack(grid, crack)
+    assert eff.edges == cut.edges | debond.edges
+    land = EnergyLandscape(grid, integrand, quadratic_datum)
+    _, rep = solve(grid, integrand, quadratic_datum, crack)
+    assert land.bulk(crack) == pytest.approx(rep.bulk_energy, rel=1e-9)
+    # dropping the debond as well would load the left piece again
+    _, without = solve(grid, integrand, quadratic_datum, cut)
+    assert without.bulk_energy > 1.05 * rep.bulk_energy
+
+
+def test_nested_circle_union_costs_no_solve(monkeypatch):
+    grid = Grid(Domain.unit_square(dirichlet="all", centered=True), 48)
+    land = EnergyLandscape(grid, meyers_integrand(3.0, "radial_stiff"),
+                           meyers_profile(3.0, "radial_stiff"))
+    c0, c1 = circle_crack(grid, (0.0, 0.0), 0.08), circle_crack(grid, (0.0, 0.0), 0.2)
+    w1 = land.bulk(c1)
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args[3])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(search, "solve", counting)
+    union = c0.union(c1)
+    assert land.effective(union).edges == c1.edges
+    assert land.bulk(union) == w1
+    assert land.bulk_many([union, c1, c1.union(c0)]) == [w1, w1, w1]
+    assert solves == []
+    # the field is the outer circle's, lifted onto the union's cut grid
+    field = land.solve_field(union)
+    assert [c.edges for c in solves] == [c1.edges]
+    assert field.topology.n_dofs == cut_grid(grid, union).n_dofs
+    assert bulk_energy(field) == w1
+    assert land.bulk(c0) != w1
+
+
+def test_landscape_rejects_a_crack_from_another_lattice():
+    square = Grid(Domain.unit_square(dirichlet=("left", "right")), 16)
+    wide = Grid(Domain.rectangle(0.0, 0.0, 2.0, 1.0), 32, 16)
+    land = EnergyLandscape(square, laplace_integrand(), linear_x)
+    edges = [("v", 8, j) for j in range(4, 9)]
+    foreign = CrackSet(wide, edges)
+    for cached in (False, True):
+        # also once the same edge set is cached from the landscape's own grid
+        if cached:
+            land.bulk(CrackSet(square, edges))
+        with pytest.raises(NonConformingCrack):
+            land.bulk(foreign)
+        with pytest.raises(NonConformingCrack):
+            land.bulk_many([foreign])
+        with pytest.raises(NonConformingCrack):
+            land.solve_field(foreign)
