@@ -3,7 +3,8 @@
 Subcommands: solve, dual-bound, release-curve, classify, evolve, poincare,
 meyers-verify.  Outputs are CSV tables (plus SVG line plots) written
 atomically into the output directory; reruns with a fixed seed are
-byte-identical regardless of the worker count.
+byte-identical.  Every batch is solved serially: --workers and [run] workers
+are validated and have no effect.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _grid_label(grid: Grid):
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(cfg: ExperimentConfig, out, workers, seed):
+def cmd_solve(cfg: ExperimentConfig, out, seed):
     grid = cfg.build_grid()
     integrand = cfg.build_integrand()
     psi = cfg.build_datum()
@@ -100,7 +101,7 @@ def cmd_solve(cfg: ExperimentConfig, out, workers, seed):
           f"div_res={sf.div_residual:.3e}")
 
 
-def cmd_dual_bound(cfg: ExperimentConfig, out, workers, seed):
+def cmd_dual_bound(cfg: ExperimentConfig, out, seed):
     grid = cfg.build_grid()
     integrand = cfg.build_integrand()
     psi = cfg.build_datum()
@@ -147,19 +148,22 @@ def cmd_dual_bound(cfg: ExperimentConfig, out, workers, seed):
           f"alpha_fit={alpha:.4g}")
 
 
-def cmd_release_curve(cfg: ExperimentConfig, out, workers, seed):
+def cmd_release_curve(cfg: ExperimentConfig, out, seed):
     grid = cfg.build_grid()
     integrand = cfg.build_integrand()
     psi = cfg.build_datum()
     family = cfg.build_family(grid)
-    k = cfg.get_float("release_curve", "k", cfg.toughness())
+    k = cfg.toughness("release_curve")
     budgets = cfg.get_floats("release_curve", "budgets", None)
     if budgets is None:
         l_max = cfg.get_float("release_curve", "l_max", required=True)
         levels = cfg.get_int("release_curve", "levels", 7)
         budgets = [l_max * 2.0 ** (-i) for i in range(levels)]
     landscape = EnergyLandscape(grid, integrand, psi, tol=cfg.tol())
-    curve = release_curve(landscape, family, budgets, k, workers)
+    try:
+        curve = release_curve(landscape, family, budgets, k)
+    except ValueError as exc:
+        raise ConfigError(str(exc), "release_curve", "budgets") from None
     rows = [(curve.budgets[i], curve.W[i], curve.rates[i], curve.argmin_ids[i],
              curve.totals[i]) for i in range(len(budgets))]
     report.write_csv(os.path.join(out, "curve.csv"),
@@ -172,7 +176,7 @@ def cmd_release_curve(cfg: ExperimentConfig, out, workers, seed):
           f"({len(family)} candidates)")
 
 
-def cmd_classify(cfg: ExperimentConfig, out, workers, seed):
+def cmd_classify(cfg: ExperimentConfig, out, seed):
     grid = cfg.build_grid()
     integrand = cfg.build_integrand()
     psi = cfg.build_datum()
@@ -196,16 +200,16 @@ def cmd_classify(cfg: ExperimentConfig, out, workers, seed):
     print(f"classify: {summary}")
 
 
-def cmd_evolve(cfg: ExperimentConfig, out, workers, seed):
+def cmd_evolve(cfg: ExperimentConfig, out, seed):
     grid = cfg.build_grid()
     integrand = cfg.build_integrand()
     psi = cfg.build_datum()
     family = cfg.build_family(grid)
-    k = cfg.get_float("evolve", "k", cfg.toughness())
+    k = cfg.toughness("evolve")
     horizon = cfg.get_float("evolve", "horizon", required=True)
     steps = cfg.get_int("evolve", "steps", 200)
     landscape = EnergyLandscape(grid, integrand, psi, tol=cfg.tol())
-    traj = evolve(landscape, family, k, horizon, steps, workers)
+    traj = evolve(landscape, family, k, horizon, steps)
     rows = [(float(traj.t[j]), float(traj.h1[j]), float(traj.bulk[j]),
              float(traj.surface[j]), float(traj.total[j]), float(traj.work[j]),
              float(traj.balance_residual[j])) for j in range(len(traj.t))]
@@ -221,7 +225,7 @@ def cmd_evolve(cfg: ExperimentConfig, out, workers, seed):
           f"jump={ini.jump:.6g} T_debond={hor.t_weighted:.6g}")
 
 
-def cmd_poincare(cfg: ExperimentConfig, out, workers, seed):
+def cmd_poincare(cfg: ExperimentConfig, out, seed):
     from .poincare import uniformity_sweep
 
     case = cfg.get("poincare", "case", required=True)
@@ -229,8 +233,7 @@ def cmd_poincare(cfg: ExperimentConfig, out, workers, seed):
     M = cfg.get_float("poincare", "M", required=True)
     samples = cfg.get_int("poincare", "samples", 1)
     resolution = cfg.get_int("poincare", "resolution", 48)
-    sweep = uniformity_sweep(L, M, samples, case, nx=resolution,
-                             seed=seed, workers=workers)
+    sweep = uniformity_sweep(L, M, samples, case, nx=resolution, seed=seed)
     rows = [(case, L, M, idx, c, resolution) for idx, c in enumerate(sweep.constants)]
     report.write_csv(os.path.join(out, "poincare.csv"),
                      ["case", "L", "M", "profile_id", "C", "resolution"],
@@ -239,7 +242,7 @@ def cmd_poincare(cfg: ExperimentConfig, out, workers, seed):
           f"(stability ratio {sweep.stability_ratio():.4g})")
 
 
-def cmd_meyers_verify(cfg: ExperimentConfig, out, workers, seed):
+def cmd_meyers_verify(cfg: ExperimentConfig, out, seed):
     """Resolve which anisotropy orientation carries the strong singularity.
 
     For each orientation, the radial equation gamma^2 a_rad = a_tan fixes the
@@ -291,17 +294,17 @@ def main(argv=None):
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config (INI)")
-        p.add_argument("--workers", type=int, default=None, help="parallel workers")
+        p.add_argument("--workers", type=int, default=None, help="no effect (N >= 1)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="random seed (u64)")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
         out = cfg.out_dir(args.out)
-        workers = cfg.workers(args.workers)
+        cfg.workers(args.workers)
         seed = cfg.seed(args.seed)
         os.makedirs(out, exist_ok=True)
-        COMMANDS[args.command](cfg, out, workers, seed)
+        COMMANDS[args.command](cfg, out, seed)
         return 0
     except FractureLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ registry; unknown or missing fields raise ConfigError naming the field.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,14 @@ class ExperimentConfig:
             return int(raw)
         except ValueError:
             raise ConfigError(f"not an integer: {raw!r}", section, option) from None
+
+    def get_positive(self, section, option, default, below=math.inf):
+        """A float in (0, below); inf and nan raise ConfigError."""
+        value = self.get_float(section, option, default)
+        if not 0.0 < value < below:
+            bound = "finite and > 0" if below == math.inf else f"in (0, {below:g})"
+            raise ConfigError(f"must be {bound}, got {value!r}", section, option)
+        return value
 
     def get_floats(self, section, option, default=None, required=False):
         raw = self.get(section, option, None, required)
@@ -212,18 +221,23 @@ class ExperimentConfig:
         return self.get_int("run", "seed", 0)
 
     def workers(self, override=None):
-        if override is not None:
-            return int(override)
-        return self.get_int("run", "workers", 1)
+        """--workers, else [run] workers: validated (>= 1) and otherwise
+        unused, since every batch is solved serially."""
+        n = int(override) if override is not None else self.get_int("run", "workers", 1)
+        if n < 1:
+            raise ConfigError(f"must be >= 1, got {n}", "run", "workers")
+        return n
 
     def out_dir(self, override=None):
         return override or self.get("run", "out", "out")
 
     def tol(self):
-        return self.get_float("run", "tol", 1e-10)
+        return self.get_positive("run", "tol", 1e-10, below=1.0)
 
-    def toughness(self):
-        return self.get_float("run", "toughness", 1.0)
+    def toughness(self, section=None):
+        """[section] k, else [run] toughness (default 1); the paper's k > 0."""
+        k = self.get_positive("run", "toughness", 1.0)
+        return k if section is None else self.get_positive(section, "k", k)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -329,9 +329,6 @@ class ReleaseBoundReport:
     tau_residual: float
     constant_C: float
 
-    def per_unit_length(self):
-        return self.bound / self.h1 if self.h1 > 0 else 0.0
-
 
 def _holder_terms(sigma, eta, cells, h2, q):
     """The six split integrals bounding each member's gap contribution."""

@@ -97,22 +97,6 @@ class Domain:
     def height(self):
         return self.y1 - self.y0
 
-    @property
-    def neumann_part(self):
-        """Complement of the Dirichlet part, per side."""
-        out = []
-        for side in SIDES:
-            lo, hi = self._side_range(side)
-            cuts = sorted((s.lo, s.hi) for s in self.dirichlet_part if s.side == side)
-            cur = lo
-            for a, b in cuts:
-                if a > cur + 1e-12:
-                    out.append(BoundarySegment(side, cur, a))
-                cur = max(cur, b)
-            if hi > cur + 1e-12:
-                out.append(BoundarySegment(side, cur, hi))
-        return tuple(out)
-
     def dirichlet_length(self):
         return sum(s.length for s in self.dirichlet_part)
 

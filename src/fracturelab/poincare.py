@@ -307,14 +307,12 @@ class SweepReport:
 
 
 def uniformity_sweep(L, M, samples: int, case: str, nx: int = 48,
-                     seed: int = 0, workers: int = 1, knots: int = 8) -> SweepReport:
+                     seed: int = 0, knots: int = 8) -> SweepReport:
     """Max optimal constant over random L-Lipschitz profiles in [1, M].
 
     Sample k always uses the k-th spawned seed, so growing ``samples`` keeps
     earlier profiles identical (the doubling-stability check relies on it).
     """
-    from .search import ordered_map
-
     if samples < 1:
         raise ValueError("need samples >= 1")
     seeds = np.random.SeedSequence(seed).spawn(samples)
@@ -328,7 +326,7 @@ def uniformity_sweep(L, M, samples: int, case: str, nx: int = 48,
         gd = GraphDomain.build(prof, L, M, nx)
         return optimal_constant(gd, case).C
 
-    constants = ordered_map(one, range(samples), workers)
+    constants = [one(k) for k in range(samples)]
     arr = np.asarray(constants)
     max_c = float(arr.max())
     if not math.isfinite(max_c):

@@ -68,7 +68,9 @@ def evolve(landscape: EnergyLandscape, family: CrackFamily, k: float,
     """Greedy incremental evolution on a uniform time grid of ``steps`` steps.
 
     Needs a p-homogeneous integrand (both shipped kinds are); the candidate
-    set at each step is {previous} + {previous union member}.
+    set at each step is {previous} + {previous union member}.  workers is
+    accepted and ignored: candidates are solved serially, and callers that
+    pass a worker count positionally keep working.
     """
     integrand = landscape.integrand
     if integrand.kind not in (PPOWER, QUADRATIC):
@@ -89,8 +91,7 @@ def evolve(landscape: EnergyLandscape, family: CrackFamily, k: float,
 
     # pairing the stress with the uncracked unit field equals pairing with any
     # lift of the datum, because their difference is an admissible variation.
-    # Called from bulk_many's worker threads with effective cracks: each call
-    # stores its own keys.
+    # bulk_many calls it with effective cracks.
     def record(crack: CrackSet, fld):
         sig = integrand.grad_f(xc, yc, fld.gradients())
         wdot_unit[crack.edges] = h2 * float(np.einsum("ci,ci->", sig, v_grad))
@@ -121,7 +122,7 @@ def evolve(landscape: EnergyLandscape, family: CrackFamily, k: float,
         kept = {e: step_values[e] for e in effs if e in step_values}
         step_values.clear()
         step_values.update(kept)
-        unit_bulks = landscape.bulk_many(cands, workers, on_field=record)
+        unit_bulks = landscape.bulk_many(cands, on_field=record)
         totals = [t ** p * b + k * c.h1() for b, c in zip(unit_bulks, cands)]
         pick = argmin_with_tolerance(totals)
         crack = cands[pick]

@@ -1,8 +1,8 @@
 """CSV tables and SVG line plots, written atomically and deterministically.
 
 Floats are serialized with repr (shortest round-trip), so identical runs
-produce byte-identical files regardless of worker count; SVG output is
-hand-rolled to avoid embedded timestamps or generated ids.
+produce byte-identical files; SVG output is hand-rolled to avoid embedded
+timestamps or generated ids.
 """
 
 from __future__ import annotations

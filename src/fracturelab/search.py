@@ -4,13 +4,12 @@ Families are finite and declared up front; candidate solves are independent
 and cached by effective edges (the part of a crack the Dirichlet datum
 reaches, see geometry.effective_crack), so cracks that differ only inside
 regions the datum cannot reach share one solve.  Every reduction is a
-deterministic tolerance-then-enumeration-order argmin, so results do not
-depend on the worker count.
+deterministic tolerance-then-enumeration-order argmin, and every batch is
+solved serially in enumeration order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,15 +19,6 @@ from .geometry import CrackSet, CutTopology, Grid, cut_grid, effective_crack
 from .solver import ScalarField, solve
 
 ARGMIN_RTOL = 1e-9
-
-
-def ordered_map(fn, items, workers: int = 1):
-    """Map preserving item order; thread-parallel when workers > 1."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 def argmin_with_tolerance(values, rtol: float = ARGMIN_RTOL):
@@ -116,27 +106,20 @@ class EnergyLandscape:
             self.solve_field(eff)
         return self._bulk[eff.edges]
 
-    def bulk_many(self, cracks, workers: int = 1, on_field=None):
+    def bulk_many(self, cracks, on_field=None):
         """Bulk energies of cracks, solving each uncached effective crack once.
 
         on_field(effective crack, field), when given, is called with every
-        field solved here, on the effective crack's cut grid, from the worker
-        threads when workers > 1; fields are dropped after it returns.
+        field solved here, on the effective crack's cut grid; fields are
+        dropped after it returns.
         """
         effs = [self.effective(c) for c in cracks]
-        missing = []
-        seen = set()
         for e in effs:
-            if e.edges not in self._bulk and e.edges not in seen:
-                seen.add(e.edges)
-                missing.append(e)
-
-        def run(crack):
-            fld = self.solve_field(crack)
-            if on_field is not None:
-                on_field(crack, fld)
-
-        ordered_map(run, missing, workers)
+            if e.edges not in self._bulk:
+                fld = self.solve_field(e)
+                if on_field is not None:
+                    on_field(e, fld)
+                del fld     # held into the next solve, it raises peak memory
         return [self._bulk[e.edges] for e in effs]
 
 
@@ -157,10 +140,6 @@ class CrackFamily:
 
     def __iter__(self):
         return iter(self.members)
-
-    def max_components(self):
-        from .geometry import connected_components
-        return max((len(connected_components(c)) for c in self.members), default=0)
 
 
 def segments_family(grid: Grid, stride: int, lengths, orientations=("h", "v"),
@@ -288,7 +267,7 @@ class MinimizeResult:
 
 
 def minimize_total(landscape: EnergyLandscape, family: CrackFamily,
-                   budget: float, k: float, workers: int = 1) -> MinimizeResult:
+                   budget: float, k: float) -> MinimizeResult:
     """Exhaustive minimization over family members with H1 <= budget.
 
     The empty crack is always admissible (id -1).  Reports both the bulk
@@ -300,7 +279,7 @@ def minimize_total(landscape: EnergyLandscape, family: CrackFamily,
     cands = [(-1, landscape.empty_crack)]
     cands += [(i, c) for i, c in enumerate(family.members)
               if c.h1() <= budget * (1 + 1e-12)]
-    bulks = landscape.bulk_many([c for _, c in cands], workers)
+    bulks = landscape.bulk_many([c for _, c in cands])
     totals = [b + k * c.h1() for b, (_, c) in zip(bulks, cands)]
     ib = argmin_with_tolerance(bulks)
     it = argmin_with_tolerance(totals)
@@ -330,17 +309,18 @@ class ReleaseCurve:
 
 def release_curve(landscape: EnergyLandscape, family: CrackFamily, budgets,
                   k: float = 1.0, workers: int = 1) -> ReleaseCurve:
-    """W(l) and release rates over a decreasing budget ladder."""
+    """W(l) and release rates over a decreasing budget ladder.
+
+    workers is accepted and ignored: candidates are solved serially, and
+    callers that pass a worker count positionally keep working.
+    """
     budgets = list(budgets)
-    if sorted(budgets, reverse=True) != budgets:
-        raise ValueError("budgets must decrease")
+    if not budgets or sorted(budgets, reverse=True) != budgets:
+        raise ValueError("budgets must be a non-empty decreasing list")
     W0 = landscape.bulk()
     Ws, rates, ids, cracks, totals = [], [], [], [], []
-    # warm the cache over the largest budget in one parallel sweep
-    all_cands = [c for c in family.members if c.h1() <= budgets[0] * (1 + 1e-12)]
-    landscape.bulk_many(all_cands, workers)
     for l in budgets:
-        res = minimize_total(landscape, family, l, k, workers)
+        res = minimize_total(landscape, family, l, k)
         Ws.append(res.W)
         rates.append((W0 - res.W) / l if l > 0 else 0.0)
         ids.append(res.bulk_argmin_id)

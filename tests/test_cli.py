@@ -207,3 +207,70 @@ def test_quadratic_takes_only_a_constant_coefficient(tmp_path, capsys, coefficie
     assert main(["solve", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert named in err and "[integrand.coefficient]" in err
+
+
+SMALL_RUNS = """
+[family]
+kind = segments
+stride = 16
+lengths = 2
+orientations = v
+
+[release_curve]
+l_max = 0.07
+levels = 2
+
+[evolve]
+horizon = 1.0
+steps = 4
+"""
+
+
+def cfg_with(tmp_path, section, line):
+    """BASE plus a small family and runs, with line added to [section].
+
+    BASE's toughness = 1.0 is the default, so it is dropped for line to set it.
+    """
+    cfg, _ = write_cfg(tmp_path, SMALL_RUNS)
+    text = open(cfg).read().replace("toughness = 1.0\n", "")
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n", 1)
+    open(cfg, "w").write(text)
+    return cfg
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-10", "1"])
+def test_tol_outside_zero_one_is_config_error(tmp_path, capsys, tol):
+    # tol = inf stopped pcg after one iteration and printed a wrong W0 with exit 0
+    cfg = cfg_with(tmp_path, "run", f"tol = {tol}")
+    assert main(["release-curve", "--config", cfg]) == 2
+    assert "[run.tol]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, line", [
+    ("solve", "run", "toughness = nan"),
+    ("release-curve", "release_curve", "k = nan"),
+    ("release-curve", "release_curve", "k = 0"),
+    ("evolve", "evolve", "k = inf"),
+    ("evolve", "evolve", "k = -1"),
+])
+def test_toughness_must_be_finite_and_positive(tmp_path, capsys, command, section, line):
+    cfg = cfg_with(tmp_path, section, line)
+    assert main([command, "--config", cfg]) == 2
+    assert f"[{section}.{line.split()[0]}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, line", [(["--workers", "0"], ""),
+                                        (["--workers", "-4"], "workers = 2"),
+                                        ([], "workers = 0")])
+def test_worker_count_below_one_is_config_error(tmp_path, capsys, flag, line):
+    cfg = cfg_with(tmp_path, "run", line)
+    assert main(["solve", "--config", cfg, *flag]) == 2
+    assert "[run.workers]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budgets", ["", "0.03 0.06"])
+def test_budget_ladder_must_be_non_empty_and_decreasing(tmp_path, capsys, budgets):
+    cfg = cfg_with(tmp_path, "release_curve", f"budgets = {budgets}")
+    assert main(["release-curve", "--config", cfg]) == 2
+    assert "[release_curve.budgets]" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "curve.csv").exists()

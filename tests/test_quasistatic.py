@@ -1,6 +1,5 @@
 import math
 import os
-import sys
 
 import numpy as np
 import pytest
@@ -220,23 +219,3 @@ def test_evolve_solves_each_crack_once(monkeypatch, name, distinct):
     v = solve_field(land, traj.cracks[j]).values
     assert np.array_equal(traj.displacement(j), traj.t[j] * v)
 
-
-def test_evolve_threads_share_the_landscape_safely():
-    # worker threads store energies, powers and fields into shared dicts;
-    # frequent switches make a lost store show as a missing or wrong entry
-    land1 = weak_landscape(32)
-    traj1 = evolve(land1, weak_family(land1.grid), k=0.5, horizon=1.5, steps=40)
-    land4 = weak_landscape(32)
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        traj4 = evolve(land4, weak_family(land4.grid), k=0.5, horizon=1.5, steps=40,
-                       workers=4)
-    finally:
-        sys.setswitchinterval(old)
-    assert traj4.h1.max() > 0
-    for name in ("h1", "bulk", "work", "balance_residual"):
-        assert np.array_equal(getattr(traj4, name), getattr(traj1, name))
-    assert land4._bulk == land1._bulk
-    for j in range(len(traj4.t)):
-        assert np.array_equal(traj4.displacement(j), traj1.displacement(j))

@@ -246,15 +246,6 @@ def test_localization_rejects_outside_probe():
         localization_check([(0.1, land.empty_crack)], (3.0, 0.0), [0.1], land.grid)
 
 
-def test_worker_count_does_not_change_results():
-    land1 = smooth_landscape(48)
-    land2 = smooth_landscape(48)
-    fam = segments_family(land1.grid, 8, [2, 4, 8], orientations=("v",))
-    b1 = land1.bulk_many(list(fam), workers=1)
-    b2 = land2.bulk_many(list(fam), workers=4)
-    assert b1 == b2
-
-
 def test_landscape_cycle_energies_match_jacobi_solves():
     # EnergyLandscape solves quadratic-form candidates on the aggregation
     # cycle, solve() on Jacobi; the energies agree, and solve()'s CG
