@@ -8,12 +8,10 @@ __version__ = "0.1.0"
 
 from .energy import (
     CheckerboardCoefficient,
-    ConjugatePair,
     ConstantCoefficient,
     ConstantMatrixCoefficient,
     Integrand,
     MeyersCoefficient,
-    conjugate_pair,
     laplace_integrand,
     meyers_integrand,
     ppower_integrand,
@@ -29,7 +27,6 @@ from .geometry import (
     connected_components,
     cover_crack,
     cut_grid,
-    h1_measure,
     read_crack_file,
     write_crack_file,
 )

@@ -105,7 +105,7 @@ def cmd_dual_bound(cfg: ExperimentConfig, out, seed):
     grid = cfg.build_grid()
     integrand = cfg.build_integrand()
     psi = cfg.build_datum()
-    m = cfg.get_int("dual_bound", "m", 1)
+    m = cfg.get_count("dual_bound", "m", 1)
     tol = cfg.tol()
     crack_path = cfg.get("dual_bound", "crack_file", None)
     cracks = []
@@ -206,8 +206,8 @@ def cmd_evolve(cfg: ExperimentConfig, out, seed):
     psi = cfg.build_datum()
     family = cfg.build_family(grid)
     k = cfg.toughness("evolve")
-    horizon = cfg.get_float("evolve", "horizon", required=True)
-    steps = cfg.get_int("evolve", "steps", 200)
+    horizon = cfg.get_bounded("evolve", "horizon")
+    steps = cfg.get_count("evolve", "steps", 200)
     landscape = EnergyLandscape(grid, integrand, psi, tol=cfg.tol())
     traj = evolve(landscape, family, k, horizon, steps)
     rows = [(float(traj.t[j]), float(traj.h1[j]), float(traj.bulk[j]),
@@ -229,10 +229,10 @@ def cmd_poincare(cfg: ExperimentConfig, out, seed):
     from .poincare import uniformity_sweep
 
     case = cfg.get("poincare", "case", required=True)
-    L = cfg.get_float("poincare", "L", required=True)
-    M = cfg.get_float("poincare", "M", required=True)
-    samples = cfg.get_int("poincare", "samples", 1)
-    resolution = cfg.get_int("poincare", "resolution", 48)
+    L = cfg.get_bounded("poincare", "L", closed=True)
+    M = cfg.get_bounded("poincare", "M", low=1.0, closed=True)
+    samples = cfg.get_count("poincare", "samples", 1)
+    resolution = cfg.get_count("poincare", "resolution", 48)
     sweep = uniformity_sweep(L, M, samples, case, nx=resolution, seed=seed)
     rows = [(case, L, M, idx, c, resolution) for idx, c in enumerate(sweep.constants)]
     report.write_csv(os.path.join(out, "poincare.csv"),

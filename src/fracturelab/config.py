@@ -74,13 +74,23 @@ class ExperimentConfig:
         except ValueError:
             raise ConfigError(f"not an integer: {raw!r}", section, option) from None
 
-    def get_positive(self, section, option, default, below=math.inf):
-        """A float in (0, below); inf and nan raise ConfigError."""
-        value = self.get_float(section, option, default)
-        if not 0.0 < value < below:
-            bound = "finite and > 0" if below == math.inf else f"in (0, {below:g})"
+    def get_bounded(self, section, option, default=None, low=0.0, below=math.inf,
+                    closed=False):
+        """A float in (low, below), or in [low, below) when closed; required
+        when there is no default.  inf and nan raise ConfigError."""
+        value = self.get_float(section, option, default, required=default is None)
+        if not ((low <= value) if closed else (low < value)) or not value < below:
+            op = ">=" if closed else ">"
+            bound = f"{op} {low:g}" + (" and finite" if below == math.inf else f" and < {below:g}")
             raise ConfigError(f"must be {bound}, got {value!r}", section, option)
         return value
+
+    def get_count(self, section, option, default, override=None):
+        """An integer >= 1: override when given, else the option."""
+        n = int(override) if override is not None else self.get_int(section, option, default)
+        if n < 1:
+            raise ConfigError(f"must be >= 1, got {n}", section, option)
+        return n
 
     def get_floats(self, section, option, default=None, required=False):
         raw = self.get(section, option, None, required)
@@ -223,21 +233,18 @@ class ExperimentConfig:
     def workers(self, override=None):
         """--workers, else [run] workers: validated (>= 1) and otherwise
         unused, since every batch is solved serially."""
-        n = int(override) if override is not None else self.get_int("run", "workers", 1)
-        if n < 1:
-            raise ConfigError(f"must be >= 1, got {n}", "run", "workers")
-        return n
+        return self.get_count("run", "workers", 1, override)
 
     def out_dir(self, override=None):
         return override or self.get("run", "out", "out")
 
     def tol(self):
-        return self.get_positive("run", "tol", 1e-10, below=1.0)
+        return self.get_bounded("run", "tol", 1e-10, below=1.0)
 
     def toughness(self, section=None):
         """[section] k, else [run] toughness (default 1); the paper's k > 0."""
-        k = self.get_positive("run", "toughness", 1.0)
-        return k if section is None else self.get_positive(section, "k", k)
+        k = self.get_bounded("run", "toughness", 1.0)
+        return k if section is None else self.get_bounded(section, "k", k)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -14,7 +14,10 @@ duality gap
 then dominates the bulk-energy release of the crack, without ever solving
 the cracked problem.  For p != 2 a corrector minimizes the collar energy
 sum h^2 |grad v|^p / p - rhs . v with solver.newton, the damped Newton of
-the bulk solve.
+the bulk solve.  For p = 2 it solves the quadratic collar problem with the
+routine of the bulk solve's quadratic forms, on Jacobi-preconditioned CG.
+The conjugate gradient grad_fstar is the base field's Integrand's own, and
+the cutoff's gradients come from the solver's one gradient stencil.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _cs_components
 
-from .energy import ConjugatePair, Integrand, conjugate_pair, ppower_integrand
+from .energy import Integrand, ppower_integrand
 from .errors import (
     CompatibilityViolated,
     ResidualTooLarge,
@@ -35,11 +38,10 @@ from .geometry import Cover, CrackSet, Grid, cover_crack, cut_grid
 from .solver import (
     ScalarField,
     StressField,
-    assemble_metric,
+    _solve_quadratic,
     cell_gradients,
     checkerboard_vector,
     newton,
-    pcg,
     scatter_weak_divergence,
     solve,
     stress,
@@ -67,6 +69,7 @@ class CutoffField:
     node_values: np.ndarray
     cell_values: np.ndarray
     member_node_values: list
+    member_cell_values: list  # each member's cutoff averaged over cell corners
     member_max_grad: list   # measured max |grad phi_member| at cell centers
     member_grad_bound: list  # the 2/r style bound per member
 
@@ -77,9 +80,11 @@ def cutoff(cover: Cover, grid: Grid) -> CutoffField:
     h = grid.h
     xn, yn = grid.node_xy()
     xc, yc = grid.cell_centers()
-    corner = grid.cell_corner_nodes()
+    topology = cut_grid(grid)
+    corner = topology.cell_dofs
     phi = np.ones(grid.n_nodes)
     member_vals = []
+    member_cells = []
     max_grads = []
     bounds = []
     for mem in cover.members:
@@ -89,17 +94,16 @@ def cutoff(cover: Cover, grid: Grid) -> CutoffField:
             )
         vals = _smoothstep(mem.metric(xn, yn) - 1.0)
         member_vals.append(vals)
+        member_cells.append(vals[corner].mean(axis=1))
         phi *= vals
         # measured gradient of the discrete nodal ramp, on this member's cells
-        cellv = vals[corner]
-        gx = cellv @ np.array([-1.0, 1.0, -1.0, 1.0]) / (2 * h)
-        gy = cellv @ np.array([-1.0, -1.0, 1.0, 1.0]) / (2 * h)
+        g = cell_gradients(topology, vals)
         local = mem.metric(xc, yc) < 2.5
-        gmax = float(np.hypot(gx, gy)[local].max(initial=0.0))
-        max_grads.append(gmax)
+        max_grads.append(float(np.hypot(g[:, 0], g[:, 1])[local].max(initial=0.0)))
         bounds.append(mem.grad_bound())
     cell_phi = phi[corner].mean(axis=1)
-    return CutoffField(grid, cover, phi, cell_phi, member_vals, max_grads, bounds)
+    return CutoffField(grid, cover, phi, cell_phi, member_vals, member_cells, max_grads,
+                       bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +125,9 @@ class Collar:
 def member_collar(phi: CutoffField, member_index: int, base_field: ScalarField) -> Collar:
     """Collar cells/nodes of one member, with its boundary-case classification."""
     grid = phi.grid
-    vals = phi.member_node_values[member_index]
-    corner = grid.cell_corner_nodes()
-    cell_phi = vals[corner].mean(axis=1)
+    cell_phi = phi.member_cell_values[member_index]
     cells = np.nonzero((cell_phi > _EPS) & (cell_phi < 1.0 - _EPS))[0]
-    nodes = np.unique(corner[cells].ravel())
+    nodes = np.unique(grid.cell_corner_nodes()[cells].ravel())
     constrained_all = np.asarray(base_field.constrained)
     constrained = np.intersect1d(nodes, constrained_all)
     on_boundary = np.intersect1d(nodes, grid.boundary_nodes())
@@ -155,15 +157,11 @@ class Corrector:
 
 def _collar_null_vectors(topology, collar, unknowns):
     """Orthonormal {1, checkerboard} per connected component of the collar."""
-    cd = topology.cell_dofs[collar.cells]
-    pos = {d: k for k, d in enumerate(unknowns)}
-    rows, cols = [], []
-    for k in range(3):
-        rows.extend(cd[:, k])
-        cols.extend(cd[:, k + 1])
-    rows = np.array([pos[d] for d in rows])
-    cols = np.array([pos[d] for d in cols])
     n = len(unknowns)
+    pos = np.full(topology.n_dofs, -1)
+    pos[unknowns] = np.arange(n)
+    cd = pos[topology.cell_dofs[collar.cells]]
+    rows, cols = cd[:, :3].T.ravel(), cd[:, 1:].T.ravel()
     adj = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     ncomp, labels = _cs_components(adj, directed=False)
     parity = checkerboard_vector(topology, unknowns)
@@ -218,12 +216,10 @@ def corrector(collar: Collar, sigma: np.ndarray, phi: CutoffField, case: str,
 
     integrand = ppower_integrand(p)
     v = np.zeros(topology.n_dofs)
+    xc, yc = (coord[collar.cells] for coord in grid.cell_centers())
     if p == 2.0:
-        n_loc = len(collar.cells)
-        ident = np.tile(np.eye(2), (n_loc, 1, 1))
-        K = assemble_metric(topology, ident, cells=collar.cells)
-        Kuu = K[unknowns][:, unknowns]
-        v[unknowns], iters, _ = pcg(Kuu, rhs, tol=tol, deflate=deflate)
+        v, iters, _ = _solve_quadratic(topology, integrand.cell_metric(xc, yc), v, unknowns,
+                                       tol, False, collar.cells, rhs, deflate)
         inner = iters
     else:
         for qv in deflate:
@@ -238,9 +234,8 @@ def corrector(collar: Collar, sigma: np.ndarray, phi: CutoffField, case: str,
                                     gtol=1e-7, stall_gtol=1e-4, gfloor=0.0,
                                     cells=collar.cells, load=rhs, deflate=deflate)
 
-    xc, yc = grid.cell_centers()
     gv = cell_gradients(topology, v, cells=collar.cells)
-    eta = integrand.grad_f(xc[collar.cells], yc[collar.cells], gv)
+    eta = integrand.grad_f(xc, yc, gv)
     q = integrand.q
     sig_c = sigma[collar.cells]
     num = h2 * float(np.sum(np.linalg.norm(eta, axis=1) ** q))
@@ -290,18 +285,21 @@ def assemble_tau(base_stress: StressField, phi: CutoffField, correctors,
     return AdmissibleStress(tau, res, raw, crack, topology)
 
 
-def duality_gap(tau: AdmissibleStress, base_stress: StressField,
-                pair: ConjugatePair) -> float:
-    """Cell quadrature of (tau - sigma) . (grad_fstar(tau) - grad_fstar(sigma)).
+def duality_gap(tau: AdmissibleStress, base_stress: StressField, cells=None) -> float:
+    """Cell quadrature of (tau - sigma) . (grad_fstar(tau) - grad_fstar(sigma))
+    over cells (all by default), with the base field's conjugate gradient.
 
     Nonnegative by monotonicity of the conjugate gradient; with f = |xi|^2
     it reduces to 1/2 int |tau - sigma|^2.
     """
     grid = base_stress.field.grid
+    grad_fstar = base_stress.field.integrand.grad_fstar
     xc, yc = grid.cell_centers()
-    dt = tau.tau - base_stress.sigma
-    dg = pair.grad_fstar(xc, yc, tau.tau) - pair.grad_fstar(xc, yc, base_stress.sigma)
-    return grid.h ** 2 * float(np.einsum("ci,ci->", dt, dg))
+    t, s = tau.tau, base_stress.sigma
+    if cells is not None:
+        xc, yc, t, s = xc[cells], yc[cells], t[cells], s[cells]
+    dg = grad_fstar(xc, yc, t) - grad_fstar(xc, yc, s)
+    return grid.h ** 2 * float(np.einsum("ci,ci->", t - s, dg))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +355,6 @@ def release_bound(grid: Grid, integrand: Integrand, psi, crack: CrackSet, m: int
         base_stress = stress(base_field)
     else:
         base_field, base_stress = base
-    pair = conjugate_pair(integrand)
 
     if crack.is_empty:
         cov = cover_crack(crack, grid.domain, m)
@@ -378,18 +375,11 @@ def release_bound(grid: Grid, integrand: Integrand, psi, crack: CrackSet, m: int
                          tol=tol, compat_tol=compat_tol, topology=topology0)
         correctors.append(corr)
     tau = assemble_tau(base_stress, phi, correctors, crack, residual_tol)
-    gap = duality_gap(tau, base_stress, pair)
+    gap = duality_gap(tau, base_stress)
 
-    xc, yc = grid.cell_centers()
     members = []
     for idx, corr in enumerate(correctors):
-        mem = cover.members[idx]
-        local = np.nonzero(phi.member_node_values[idx][grid.cell_corner_nodes()]
-                           .mean(axis=1) < 1.0 - _EPS)[0]
-        dt = tau.tau[local] - base_stress.sigma[local]
-        dg = pair.grad_fstar(xc[local], yc[local], tau.tau[local]) - pair.grad_fstar(
-            xc[local], yc[local], base_stress.sigma[local]
-        )
+        local = np.nonzero(phi.member_cell_values[idx] < 1.0 - _EPS)[0]
         members.append(
             MemberBound(
                 member_index=idx,
@@ -397,7 +387,7 @@ def release_bound(grid: Grid, integrand: Integrand, psi, crack: CrackSet, m: int
                 n_collar_cells=len(corr.collar.cells),
                 energy_ratio=corr.energy_ratio,
                 compat_defect=corr.compat_defect,
-                gap_contribution=h2 * float(np.einsum("ci,ci->", dt, dg)),
+                gap_contribution=duality_gap(tau, base_stress, cells=local),
                 holder_terms=_holder_terms(base_stress.sigma, corr.eta,
                                            corr.collar.cells, h2, q),
             )

@@ -7,7 +7,8 @@ closed form:
 * ``quadratic``: f = A(x) xi . xi with A(x) symmetric positive definite.
 
 For p-power the conjugate is f* = (1/q) c^(1-q) |zeta|^q with q = p/(p-1);
-for the quadratic form f* = (1/4) A^(-1) zeta . zeta.
+for the quadratic form f* = (1/4) A^(-1) zeta . zeta.  Both live on
+Integrand, with the Fenchel and gradient-inversion residuals that check them.
 """
 
 from __future__ import annotations
@@ -211,6 +212,18 @@ class Integrand:
         Ainv = np.linalg.inv(A)
         return 0.5 * np.einsum("...ij,...j->...i", Ainv, zeta)
 
+    def fenchel_residual(self, x, y, xi):
+        """f(xi) + f*(grad f(xi)) - xi . grad f(xi), elementwise; zero to
+        floating-point accuracy (Fenchel's identity)."""
+        g = self.grad_f(x, y, xi)
+        lhs = self.eval_f(x, y, xi) + self.eval_fstar(x, y, g)
+        return lhs - np.einsum("...i,...i->...", np.asarray(xi, dtype=float), g)
+
+    def inversion_residual(self, x, y, xi):
+        """max-norm of grad_fstar(grad_f(xi)) - xi, elementwise."""
+        back = self.grad_fstar(x, y, self.grad_f(x, y, xi))
+        return np.abs(back - np.asarray(xi, dtype=float)).max(axis=-1)
+
     def cell_metric(self, x, y):
         """M(x) with f(x, xi) = 1/2 xi . M xi, valid on quadratic-form paths."""
         if not self.is_quadratic_form:
@@ -257,49 +270,3 @@ def meyers_integrand(K, orientation=RADIAL_STIFF):
 def laplace_integrand():
     """f = |xi|^2, i.e. p-power with p = 2 and c = 2."""
     return ppower_integrand(2.0, 2.0)
-
-
-# ---------------------------------------------------------------------------
-# conjugate pairs
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConjugatePair:
-    """Integrand together with its closed-form conjugate, as one object.
-
-    The Fenchel identity f(xi) + f*(grad_f(xi)) = xi . grad_f(xi) and the
-    gradient inversion grad_fstar(grad_f(xi)) = xi hold to floating-point
-    accuracy; see the test-suite invariants.
-    """
-
-    integrand: Integrand
-
-    @property
-    def q(self):
-        return self.integrand.q
-
-    def fstar(self, x, y, zeta):
-        return self.integrand.eval_fstar(x, y, zeta)
-
-    def grad_fstar(self, x, y, zeta):
-        return self.integrand.grad_fstar(x, y, zeta)
-
-    def fenchel_residual(self, x, y, xi):
-        """f(xi) + f*(grad f(xi)) - xi . grad f(xi), elementwise."""
-        g = self.integrand.grad_f(x, y, xi)
-        lhs = self.integrand.eval_f(x, y, xi) + self.integrand.eval_fstar(x, y, g)
-        rhs = np.einsum("...i,...i->...", np.asarray(xi, dtype=float), g)
-        return lhs - rhs
-
-    def inversion_residual(self, x, y, xi):
-        """max-norm of grad_fstar(grad_f(xi)) - xi, elementwise."""
-        g = self.integrand.grad_f(x, y, xi)
-        back = self.integrand.grad_fstar(x, y, g)
-        return np.abs(back - np.asarray(xi, dtype=float)).max(axis=-1)
-
-
-def conjugate_pair(integrand: Integrand) -> ConjugatePair:
-    if integrand.kind not in (PPOWER, QUADRATIC):
-        raise UnsupportedKind(integrand.kind)
-    return ConjugatePair(integrand)

@@ -339,11 +339,6 @@ class CrackSet:
         return np.stack([x, y], axis=1)
 
 
-def h1_measure(crack: CrackSet) -> float:
-    """Length of the crack (sum of member edge lengths); 0 for the empty set."""
-    return crack.h1()
-
-
 def connected_components(crack: CrackSet):
     """Split a crack into edge-adjacency components (shared endpoint nodes)."""
     if crack.is_empty:

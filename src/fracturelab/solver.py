@@ -6,7 +6,9 @@ are solved by Jacobi-preconditioned conjugate gradients; general p-power
 densities by damped Newton with an epsilon-regularized Hessian metric (the
 energy itself is never regularized).  One Newton routine, newton(), serves
 both this bulk solve and the collar problems of the dual bound; each caller
-passes its own exit thresholds.
+passes its own exit thresholds.  One routine, _solve_quadratic, assembles,
+slices and solves every quadratic problem: the p = 2 bulk solve, Newton's
+warm start and the p = 2 collar problem.
 
 The Newton inner solves run CG preconditioned by an aggregation V-cycle,
 about 15 iterations per step where Jacobi needs O(N) at N^2 cells.  The
@@ -71,7 +73,7 @@ def cell_gradients(topology: CutTopology, values, cells=None):
     return np.stack([u @ _AX * inv, u @ _AY * inv], axis=1)
 
 
-def scatter_weak_divergence(topology: CutTopology, cell_field, cells=None, out=None):
+def scatter_weak_divergence(topology: CutTopology, cell_field, cells=None):
     """Per-dof residual r_a = sum_c h^2 w_c . grad(phi_a)|_c for a cell field w.
 
     This is the discrete pairing <w, grad phi_a>; it vanishes at free dofs
@@ -81,7 +83,7 @@ def scatter_weak_divergence(topology: CutTopology, cell_field, cells=None, out=N
     w = np.asarray(cell_field)
     if cells is not None and w.shape[0] != len(cells):
         w = w[cells]
-    r = np.zeros(topology.n_dofs) if out is None else out
+    r = np.zeros(topology.n_dofs)
     half_h = 0.5 * topology.grid.h  # h^2 / (2h)
     for k in range(4):
         np.add.at(r, cd[:, k], half_h * (w[:, 0] * _AX[k] + w[:, 1] * _AY[k]))
@@ -480,7 +482,6 @@ class SolveReport:
     bulk_energy: float
     wall_time: float
     method: str
-    converged: bool = True
 
 
 class ScalarField:
@@ -608,7 +609,9 @@ def solve(grid: Grid, integrand: Integrand, psi, crack: CrackSet = None,
     free = np.nonzero(free)[0]
 
     if integrand.is_quadratic_form:
-        u, iters, res = _solve_quadratic(topology, integrand, u, free, tol, _cycle)
+        xc, yc = grid.cell_centers()
+        u, iters, res = _solve_quadratic(topology, integrand.cell_metric(xc, yc), u, free,
+                                         tol, _cycle)
         inner = iters
         method = "cg"
     else:
@@ -629,16 +632,23 @@ def solve(grid: Grid, integrand: Integrand, psi, crack: CrackSet = None,
     return field, report
 
 
-def _solve_quadratic(topology, integrand, u, free, tol, cycle):
-    xc, yc = topology.grid.cell_centers()
-    K = assemble_metric(topology, integrand.cell_metric(xc, yc))
+def _solve_quadratic(topology, metric_cells, u, free, tol, cycle, cells=None, load=None,
+                     deflate=()):
+    """Minimize sum_{c in cells} h^2 grad u . M_c grad u / 2 - load . u[free]
+    over u[free] for the (n, 2, 2) metrics M of the cells (all by default):
+    the one assemble, free-block and pcg of every quadratic solve.  cycle
+    runs pcg on the aggregation cycle instead of Jacobi; deflate is passed
+    to pcg.  Returns (u, CG iterations, relative residual)."""
+    K = assemble_metric(topology, metric_cells, cells=cells)
     if len(free) == 0:
         return u, 0, 0.0
     Kff = K[free][:, free]
     b = -(K @ u)[free]
     del K  # not held while pcg builds its preconditioner
+    if load is not None:
+        b += load
     nodes = topology.grid.node_ij(topology.dof_node[free]) if cycle else None
-    x, iters, res = pcg(Kff, b, tol=tol, nodes=nodes)
+    x, iters, res = pcg(Kff, b, tol=tol, deflate=deflate, nodes=nodes)
     u = u.copy()
     u[free] += x
     return u, iters, res
@@ -683,25 +693,17 @@ def newton(topology, integrand, u, free, *, eps, tol, gtol, stall_gtol, gfloor,
     if cells is not None:
         xc, yc = xc[cells], yc[cells]
     c = integrand.coeff.scalar(xc, yc)
-    u = u.copy()
-    # warm start from the quadratic problem with the same coefficient
-    M0 = np.zeros((len(c), 2, 2))
-    M0[:, 0, 0] = c
-    M0[:, 1, 1] = c
-    K0 = assemble_metric(topology, M0, cells=cells)
     nodes = topology.grid.node_ij(topology.dof_node[free])
     # the Hessians of all steps share one pattern: build it, and the cycle's
     # aggregates (from the first Hessian), once
     block = _free_block(topology, free, cells)
     coarsening = _Coarsening()
-    total_iters = 0
-    if len(free):
-        b0 = -(K0 @ u)[free]
-        if load is not None:
-            b0 += load
-        x0, total_iters, _ = pcg(K0[free][:, free], b0, tol=1e-8, deflate=deflate,
-                                 nodes=nodes)
-        u[free] += x0
+    # warm start from the quadratic problem with the same coefficient
+    M0 = np.zeros((len(c), 2, 2))
+    M0[:, 0, 0] = c
+    M0[:, 1, 1] = c
+    u, total_iters, _ = _solve_quadratic(topology, M0, u, free, 1e-8, True, cells, load,
+                                         deflate)
 
     E, grad, g = _energy_and_gradient(topology, integrand, u, free, xc, yc, cells, load,
                                       deflate)

@@ -223,18 +223,34 @@ levels = 2
 [evolve]
 horizon = 1.0
 steps = 4
+
+[poincare]
+case = ii
+L = 1.0
+M = 2.0
+samples = 1
+resolution = 8
+
+[dual_bound]
+anchor = 0.5 0.40625
+orientation = v
+lengths = 3
 """
 
 
 def cfg_with(tmp_path, section, line):
-    """BASE plus a small family and runs, with line added to [section].
+    """BASE plus a small family and runs, with line added to [section] in
+    place of the option of that name there.
 
     BASE's toughness = 1.0 is the default, so it is dropped for line to set it.
     """
     cfg, _ = write_cfg(tmp_path, SMALL_RUNS)
     text = open(cfg).read().replace("toughness = 1.0\n", "")
-    text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n", 1)
-    open(cfg, "w").write(text)
+    head, _, rest = text.partition(f"[{section}]\n")
+    body, nxt, tail = rest.partition("\n[")
+    option = line.partition(" = ")[0]
+    body = "".join(row for row in body.splitlines(True) if row.partition(" = ")[0] != option)
+    open(cfg, "w").write(f"{head}[{section}]\n{line}\n{body}{nxt}{tail}")
     return cfg
 
 
@@ -254,6 +270,23 @@ def test_tol_outside_zero_one_is_config_error(tmp_path, capsys, tol):
     ("evolve", "evolve", "k = -1"),
 ])
 def test_toughness_must_be_finite_and_positive(tmp_path, capsys, command, section, line):
+    cfg = cfg_with(tmp_path, section, line)
+    assert main([command, "--config", cfg]) == 2
+    assert f"[{section}.{line.split()[0]}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, line", [
+    ("evolve", "evolve", "horizon = nan"),
+    ("evolve", "evolve", "horizon = -1"),
+    ("evolve", "evolve", "steps = 0"),
+    ("poincare", "poincare", "samples = 0"),
+    ("poincare", "poincare", "resolution = 0"),
+    ("poincare", "poincare", "L = nan"),
+    ("poincare", "poincare", "M = 0.5"),
+    ("dual-bound", "dual_bound", "m = 0"),
+])
+def test_out_of_range_value_is_config_error(tmp_path, capsys, command, section, line):
+    # each of these ended in a traceback (exit 1) or ran on (exit 0)
     cfg = cfg_with(tmp_path, section, line)
     assert main([command, "--config", cfg]) == 2
     assert f"[{section}.{line.split()[0]}]" in capsys.readouterr().err

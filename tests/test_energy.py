@@ -6,7 +6,6 @@ import pytest
 from fracturelab.energy import (
     CheckerboardCoefficient,
     MeyersCoefficient,
-    conjugate_pair,
     laplace_integrand,
     meyers_integrand,
     ppower_integrand,
@@ -86,7 +85,6 @@ def test_conjugate_closed_forms_quadratic():
 def test_conjugate_against_radial_sup_oracle():
     # independent oracle: f*(z) = sup_t (|z| t - (c/p) t^p) over a fine 1-D grid
     f = ppower_integrand(1.5, 2.0)
-    pair = conjugate_pair(f)
     rng = np.random.default_rng(1)
     x = np.zeros(1)
     y = np.zeros(1)
@@ -95,7 +93,7 @@ def test_conjugate_against_radial_sup_oracle():
         zn = np.linalg.norm(z)
         t = np.linspace(0, 50.0, 400001)
         oracle = np.max(zn * t - (2.0 / 1.5) * t ** 1.5)
-        assert pair.fstar(x, y, z)[0] == pytest.approx(oracle, rel=1e-6, abs=1e-8)
+        assert f.eval_fstar(x, y, z)[0] == pytest.approx(oracle, rel=1e-6, abs=1e-8)
 
 
 @pytest.mark.parametrize("integrand,tol", [
@@ -105,15 +103,14 @@ def test_conjugate_against_radial_sup_oracle():
     (meyers_integrand(2.5), 1e-9),
 ])
 def test_fenchel_identity_and_inversion(integrand, tol):
-    pair = conjugate_pair(integrand)
     rng = np.random.default_rng(42)
     n = 1000
     x = rng.uniform(-0.45, 0.45, n)
     y = rng.uniform(-0.45, 0.45, n)
     xi = rng.uniform(-3, 3, (n, 2))
     scale = 1.0 + np.abs(integrand.eval_f(x, y, xi))
-    assert np.all(np.abs(pair.fenchel_residual(x, y, xi)) <= tol * scale)
-    assert np.all(pair.inversion_residual(x, y, xi) <= tol * (1 + np.abs(xi).max()))
+    assert np.all(np.abs(integrand.fenchel_residual(x, y, xi)) <= tol * scale)
+    assert np.all(integrand.inversion_residual(x, y, xi) <= tol * (1 + np.abs(xi).max()))
 
 
 def test_growth_sandwich_sampled():
@@ -172,9 +169,8 @@ def test_cell_metric_rejected_for_p_not_2():
 
 def test_quadratic_constant_matrix_conjugate_inverts():
     f = quadratic_integrand(ConstantMatrixCoefficient(2.0, 0.5, 0.3))
-    pair = conjugate_pair(f)
     rng = np.random.default_rng(2)
     xi = rng.uniform(-2, 2, (50, 2))
     x = np.zeros(50)
     y = np.zeros(50)
-    assert np.all(pair.inversion_residual(x, y, xi) < 1e-12)
+    assert np.all(f.inversion_residual(x, y, xi) < 1e-12)

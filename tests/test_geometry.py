@@ -11,7 +11,6 @@ from fracturelab.geometry import (
     cover_crack,
     cut_grid,
     effective_crack,
-    h1_measure,
     read_crack_file,
     write_crack_file,
 )
@@ -23,25 +22,25 @@ from conftest import hslit, vslit
 
 
 def test_h1_empty_is_zero(unit_grid_16):
-    assert h1_measure(CrackSet(unit_grid_16)) == 0.0
+    assert CrackSet(unit_grid_16).h1() == 0.0
 
 
 def test_h1_unit_segment(unit_grid_16):
     # straight polyline from (0,0) to (1,0): all bottom edges
     crack = hslit(unit_grid_16, 0, 0, 16)
-    assert h1_measure(crack) == pytest.approx(1.0)
+    assert crack.h1() == pytest.approx(1.0)
 
 
 def test_h1_two_disjoint_segments(unit_grid_16):
     a = hslit(unit_grid_16, 0, 4, 4)      # 0.25
     b = hslit(unit_grid_16, 0, 8, 8)      # 0.5
-    assert h1_measure(a.union(b)) == pytest.approx(0.75)
+    assert a.union(b).h1() == pytest.approx(0.75)
 
 
 def test_h1_additive_over_components(unit_grid_16):
     crack = hslit(unit_grid_16, 1, 2, 3).union(vslit(unit_grid_16, 9, 9, 5))
     comps = connected_components(crack)
-    assert sum(h1_measure(c) for c in comps) == pytest.approx(h1_measure(crack))
+    assert sum(c.h1() for c in comps) == pytest.approx(crack.h1())
 
 
 # --- connected components -----------------------------------------------------
