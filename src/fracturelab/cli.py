@@ -251,7 +251,7 @@ def cmd_meyers_verify(cfg: ExperimentConfig, out, seed):
     origin cross-checks it.  The stiff-radial orientation yields gamma = 1/K,
     hence local energies ~ r^(2/K): strong for K > 2, critical at K = 2.
     """
-    K = cfg.get_float("meyers_verify", "K", 3.0)
+    K = cfg.get_bounded("meyers_verify", "K", 3.0, low=1.0, closed=True)
     n = cfg.get_int("meyers_verify", "n", 128)
     domain = Domain.unit_square(dirichlet="all", centered=True)
     grid = Grid(domain, n)

@@ -194,7 +194,7 @@ class ExperimentConfig:
             by = self.get_float("datum", "by", 0.0)
             return lambda x, y: a + bx * np.asarray(x, dtype=float) + by * np.asarray(y, dtype=float)
         if kind == "meyers_trace":
-            K = self.get_float("datum", "K", required=True)
+            K = self.get_bounded("datum", "K", low=1.0, closed=True)
             orientation = self.get("datum", "orientation", "radial_stiff")
             base = meyers_profile(K, orientation)
             return lambda x, y: scale * base(x, y)
@@ -207,7 +207,7 @@ class ExperimentConfig:
         for kind in kinds:
             kind = kind.strip()
             if kind == "segments":
-                stride = self.get_int("family", "stride", max(1, grid.nx // 16))
+                stride = self.get_count("family", "stride", max(1, grid.nx // 16))
                 lengths = self.get_ints("family", "lengths", required=True)
                 orientations = tuple(self.get("family", "orientations", "h v").split())
                 fams.append(segments_family(grid, stride, lengths, orientations))

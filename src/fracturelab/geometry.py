@@ -469,15 +469,40 @@ class CutTopology:
     def dof_xy(self):
         return self.grid.node_xy(self.dof_node)
 
-    def dof_components(self):
-        """Label dofs by cell-connected component (for pinning floaters)."""
+    def floating_dofs(self, constrained):
+        """The dofs that no constrained dof anchors, to be pinned to 0.
+
+        One-point quadrature sees a cell only through its diagonal
+        differences u11 - u00 and u10 - u01, so a diagonal component (dofs
+        joined by cell diagonals) shifts by a constant without changing any
+        gradient.  A piece (the cells joined across uncut edges, with their
+        dofs) holds exactly two diagonal components, one per node parity,
+        since the two dofs of an uncut edge have different parities.
+        Returned are every dof of a piece with no constrained dof, and the
+        lowest dof of each other diagonal component with none.  A crack that
+        closes no cycle leaves one piece, whose diagonal components are the
+        node parities, and dofs 0 and 1 are their lowest.
+        """
+        if not _closes_a_cycle(self.grid, self.crack.edges):
+            i, j = self.grid.node_ij(constrained)
+            has = np.zeros(2, dtype=bool)
+            has[(i + j) % 2] = True
+            return np.flatnonzero(~has) if has.any() else np.arange(self.n_dofs)
         cd = self.cell_dofs
-        rows = np.concatenate([cd[:, 0], cd[:, 1], cd[:, 2]])
-        cols = np.concatenate([cd[:, 1], cd[:, 3], cd[:, 3]])
-        data = np.ones(len(rows), dtype=np.int8)
-        adj = coo_matrix((data, (rows, cols)), shape=(self.n_dofs, self.n_dofs))
-        n, labels = _cs_components(adj, directed=False)
-        return n, labels
+        diagonals = coo_matrix((np.ones(2 * len(cd), dtype=np.int8),
+                                (np.concatenate([cd[:, 0], cd[:, 1]]),
+                                 np.concatenate([cd[:, 3], cd[:, 2]]))),
+                               shape=(self.n_dofs, self.n_dofs))
+        n, label = _cs_components(diagonals, directed=False)
+        has = np.zeros(n, dtype=bool)
+        has[label[constrained]] = True
+        # each cell's two diagonals are the two components of its piece
+        other = np.empty(n, dtype=label.dtype)
+        other[label[cd[:, 0]]] = label[cd[:, 1]]
+        other[label[cd[:, 1]]] = label[cd[:, 0]]
+        pin = ~has[other][label]
+        pin[np.unique(label, return_index=True)[1]] = True
+        return np.flatnonzero(pin & ~has[label])
 
     def edge_side_dofs(self, edge: Edge):
         """Per endpoint, the dof on each flank side of a cut edge.
@@ -754,14 +779,15 @@ def cover_crack(crack: CrackSet, domain: Domain, m: int, margin_cells: float = 2
     members whose doubled region leaves the domain become boundary rectangles.
     Raises BudgetTooLarge when no admissible cover exists at the crack's scale
     (threshold: member diameter <= 0.5 * min(width, height), so that a member
-    can never span the domain and boundary rectangles keep the required aspect).
+    can never span the domain and boundary rectangles keep the required aspect),
+    and when the crack has more than m connected components.
     """
     threshold = 0.5 * min(domain.width, domain.height)
     if crack.is_empty:
         return Cover((), 0.0, 0, threshold)
     comps = connected_components(crack)
     if len(comps) > m:
-        raise ValueError(f"crack has {len(comps)} components, budget is m={m}")
+        raise BudgetTooLarge(f"crack has {len(comps)} components, budget is m={m}")
     h = crack.grid.h
     margin = margin_cells * h
 

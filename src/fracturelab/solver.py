@@ -15,15 +15,15 @@ about 15 iterations per step where Jacobi needs O(N) at N^2 cells.  The
 Hessians of one Newton solve share one sparsity pattern, so newton builds
 that pattern once, and the cycle of its first Hessian keeps its aggregates
 for the later steps; each step refills only values: the Hessian's, the
-coarse operators', the smoothers', the coarse factor and the null vectors
-of floating pieces.  The cycle also runs the quadratic-form solves of
-search.EnergyLandscape (about 25 iterations per crack candidate at 128^2
-instead of about 300), whose callers read energies and power pairings.  A
-direct solve() of a quadratic form stays on Jacobi: it stops on the CG
-residual alone, and at the same relative residual the cycle leaves more of
-it in smooth modes, so the stress's weak divergence against a smooth test
-function stays near 1e-10 instead of falling under refinement as Jacobi's
-does.  Newton steps end on the Newton gradient test instead.
+coarse operators', the smoothers' and the coarse factor.  The cycle also
+runs the quadratic-form solves of search.EnergyLandscape (about 25
+iterations per crack candidate at 128^2 instead of about 300), whose
+callers read energies and power pairings.  A direct solve() of a quadratic
+form stays on Jacobi: it stops on the CG residual alone, and at the same
+relative residual the cycle leaves more of it in smooth modes, so the
+stress's weak divergence against a smooth test function stays near 1e-10
+instead of falling under refinement as Jacobi's does.  Newton steps end on
+the Newton gradient test instead.
 
 Stiffness assembly is parity split.  One-point quadrature sees a cell only
 through its diagonal differences u11 - u00 and u10 - u01, each joining two
@@ -34,8 +34,15 @@ assemble_metric never stores them, leaving five couplings per row instead of
 nine.  The Newton Hessians' one pattern holds every cell's cross-parity
 couplings, zero or not.
 
-Connected components of the cut topology that carry no Dirichlet datum are
-pinned to the value 0.
+Set-up pins to 0 what no Dirichlet datum anchors (CutTopology.floating_dofs):
+every dof of a piece of the cut grid without a datum, and the lowest dof of
+each datum-free parity chain, a diagonal component that shifts by a constant
+without changing any cell gradient (a full cut one row from a Neumann side
+leaves one).  Every bulk solve therefore has a positive definite free block,
+and the cycle searches for no null space; only the pure-Neumann collars of
+the dual bound deflate one.  A chain is 0 at its lowest dof, and 0 throughout
+for integrands that depend on |grad u| only: its diagonal differences stay
+at 0, where each cell's energy is least whatever the other parity does.
 """
 
 from __future__ import annotations
@@ -192,12 +199,9 @@ def pcg(A, b, tol=1e-10, maxiter=None, deflate=(), x0=None, nodes=None,
     coarsening: a _Coarsening that carries the cycle's aggregates from one
     call to the next on matrices of one pattern (see _AggregationCycle).
     deflate: orthonormal null vectors of A; b and the iterates are kept in
-    their orthogonal complement.  Without them, the cycle supplies the null
-    vectors of the floating pieces of A it finds, and b must be orthogonal
-    to those to tol.  Returns (x, iterations, relative residual).  Raises
-    NoConvergence on breakdown (a non-finite residual or p.Ap <= 0), on a b
-    with a component in a found null space, and when maxiter (default
-    _iteration_cap(n)) iterations do not reach tol.
+    their orthogonal complement.  Returns (x, iterations, relative residual).
+    Raises NoConvergence on breakdown (a non-finite residual or p.Ap <= 0)
+    and when maxiter (default _iteration_cap(n)) iterations do not reach tol.
     """
     n = A.shape[0]
     if maxiter is None:
@@ -225,14 +229,6 @@ def pcg(A, b, tol=1e-10, maxiter=None, deflate=(), x0=None, nodes=None,
             np.multiply(r, inv_d, out=z)
     else:
         cycle = _AggregationCycle(A, nodes, singular=Q is not None, coarsening=coarsening)
-        if Q is None and cycle.null is not None:
-            Q = cycle.null
-            defect = np.linalg.norm(Q.T @ b) / bnorm
-            if defect > tol:
-                raise NoConvergence(f"pcg right-hand side has a relative component "
-                                    f"{defect:.3e} on a floating piece of A",
-                                    iterations=0, residual=float(defect))
-            project(b)  # in place
 
         def precondition(r, z):
             z[:] = project(cycle(r))
@@ -304,12 +300,11 @@ _BRAESS = 1.5           # over-relaxation of the coarse correction
 class _Coarsening:
     """The symbolic half of an aggregation cycle, for the matrices of one
     pattern: per level the aggregates, their count and the _Scatter of the
-    Galerkin operator on the level's entries; and the coarsest parities.
-    levels is None until a cycle has filled it."""
+    Galerkin operator on the level's entries.  levels is None until a cycle
+    has filled it."""
 
     def __init__(self):
         self.levels = None
-        self.parity = None
 
 
 class _AggregationCycle:
@@ -317,21 +312,16 @@ class _AggregationCycle:
     Gershgorin bound of D^-1 A on each level, and Galerkin coarse operators
     (A's entries summed per aggregate pair).  Call it on a residual.
 
-    Unless singular (the caller deflates A's null space), the cycle looks for
-    floating pieces of A: one-point stiffness can couple each node parity
-    only to itself, so a strip between a crack and a Neumann side may hold a
-    parity chain that no datum reaches although its cells do.  No aggregate
-    joins such a piece to anything else, so its null vectors show on the
-    coarsest level; null holds them prolongated to A's rows, orthonormal,
-    or None when there are none.
+    A must be positive definite unless singular: then the caller deflates
+    A's null space, and the coarsest operator is shifted by 1e-12 of its
+    largest diagonal entry before it is factored.
 
     With an empty coarsening, the cycle records its aggregates in it and
     sums its Galerkin operators through slot maps over every stored entry
     (the SpGEMM of _galerkin drops sums that cancel, so its pattern can
     change with the values); with a filled one, it takes the aggregates and
     maps from it, so A must have the pattern of the matrix that filled it.
-    Smoothers, coarse values, the coarse factor and the null vectors are
-    always A's own.
+    Smoothers, coarse values and the coarse factor are always A's own.
     """
 
     def __init__(self, A, nodes, singular=False, coarsening=None):
@@ -340,7 +330,6 @@ class _AggregationCycle:
             for agg, nc, galerkin in coarsening.levels:
                 self._add_level(A, _entry_rows(A), agg, nc)
                 A = galerkin(A.data)
-            parity = coarsening.parity
         else:
             i, j = (np.asarray(v) for v in nodes)
             bi, bj, parity = i // 3, j // 3, (i + j) % 2
@@ -365,10 +354,9 @@ class _AggregationCycle:
                 bi, bj, parity = bi[first] // 2, bj[first] // 2, parity[first]
                 strong = 0.0
             if coarsening is not None:
-                coarsening.levels, coarsening.parity = record, parity
-        null = [] if singular else _floating_null_vectors(A, parity)
+                coarsening.levels = record
         dense = A.toarray()
-        if singular or null:
+        if singular:
             dense[np.diag_indices_from(dense)] += 1e-12 * dense.diagonal().max()
         # packed Cholesky runs on level-2 BLAS; the blocked dpotrf fills BLAS
         # work buffers that cost about 2 MB of resident memory per process
@@ -377,12 +365,6 @@ class _AggregationCycle:
         if info:
             raise NoConvergence("coarse operator of the aggregation cycle is not "
                                 "positive definite", iterations=0, residual=float("nan"))
-        self.null = None
-        if null:
-            V = np.column_stack(null)
-            for _, _, agg, _ in reversed(self.levels):
-                V = V[agg]
-            self.null = V / np.linalg.norm(V, axis=0)
 
     def _add_level(self, A, rows, agg, nc):
         """A level on A with its damped Jacobi weights; rows holds the row of
@@ -406,26 +388,6 @@ class _AggregationCycle:
 def _entry_rows(A):
     """The row of each stored entry of the CSR matrix A."""
     return np.repeat(np.arange(A.shape[0], dtype=A.indices.dtype), np.diff(A.indptr))
-
-
-def _floating_null_vectors(A, parity):
-    """Null vectors of the sparse operator A on its pieces that no datum
-    reaches.  A piece is a connected component of A's nonzero couplings.  On
-    a piece that couples to no datum, one-point stiffness annihilates the
-    constant and the checkerboard, hence also the piece's even and odd
-    indicators, which are orthogonal.  A piece floats when
-    |A v| <= 1e-9 diag(A) on each of its rows for both."""
-    nc, piece = _components(A, A.data != 0)
-    even = parity == 0
-    small = 1e-9 * np.abs(A.diagonal())
-    quiet_const, quiet_checker = (
-        np.bincount(piece, weights=np.abs(A @ v) > small, minlength=nc) == 0
-        for v in (np.ones(A.shape[0]), np.where(even, 1.0, -1.0)))
-    out = []
-    for c in np.flatnonzero(quiet_const & quiet_checker):
-        inside = piece == c
-        out += [half.astype(float) for half in (inside & even, inside & ~even) if half.any()]
-    return out
 
 
 def _aggregates(A, rows, key, strong):
@@ -551,7 +513,8 @@ class StressField:
 
 
 def _dirichlet_setup(topology: CutTopology, psi):
-    """Constrained dofs, their values, and zero-pins for floating components."""
+    """Constrained dofs, and the fixed dofs with their values: the datum on
+    the constrained ones, 0 on CutTopology.floating_dofs."""
     grid = topology.grid
     if not grid.domain.dirichlet_part or len(grid.dirichlet_nodes()) == 0:
         raise SingularSystem("domain declares no Dirichlet boundary")
@@ -566,11 +529,7 @@ def _dirichlet_setup(topology: CutTopology, psi):
             f"Dirichlet datum is {vals[bad]} at ({x[bad]:.6g}, {y[bad]:.6g})",
             section="datum",
         )
-    # pin whole components that the datum cannot reach
-    n_comp, labels = topology.dof_components()
-    has_data = np.zeros(n_comp, dtype=bool)
-    has_data[labels[constrained]] = True
-    floating = np.nonzero(~has_data[labels])[0]
+    floating = topology.floating_dofs(constrained)
     fixed = np.concatenate([constrained, floating])
     fixed_vals = np.concatenate([vals, np.zeros(len(floating))])
     order = np.argsort(fixed, kind="stable")

@@ -43,3 +43,28 @@ def linear_x(x, y):
 
 def linear_y(x, y):
     return np.asarray(y, dtype=float)
+
+
+def random_union(grid, rng):
+    """A union of 1 to 4 cracks on a square grid, each an interior slit (it
+    may run from side to side), a closed box or a run of debonded side
+    edges."""
+    n = grid.nx
+    edges = set()
+    for _ in range(rng.integers(1, 5)):
+        kind = rng.integers(3)
+        if kind == 0:
+            c, start = (int(v) for v in rng.integers((1, 0), (n, n)))
+            run = range(start, start + int(rng.integers(1, n - start + 1)))
+            edges |= ({("v", c, j) for j in run} if rng.integers(2)
+                      else {("h", i, c) for i in run})
+        elif kind == 1:
+            i0, i1 = sorted(rng.choice(n + 1, 2, replace=False).tolist())
+            j0, j1 = sorted(rng.choice(n + 1, 2, replace=False).tolist())
+            edges |= {("h", i, j) for i in range(i0, i1) for j in (j0, j1)}
+            edges |= {("v", i, j) for i in (i0, i1) for j in range(j0, j1)}
+        else:
+            side = grid.boundary_edges(("left", "right", "bottom", "top")[rng.integers(4)])
+            start = int(rng.integers(n))
+            edges |= set(side[start:start + int(rng.integers(1, n + 1))])
+    return CrackSet(grid, edges)

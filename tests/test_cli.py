@@ -162,6 +162,15 @@ def test_crack_file_error_exit_3(tmp_path, capsys):
     assert rc == 3
 
 
+def test_crack_with_more_components_than_m_is_budget_error_exit_3(tmp_path, capsys):
+    # cover_crack raised a ValueError here, which ended in a traceback (exit 1)
+    two = tmp_path / "two.txt"
+    two.write_text("0.25 0.5 0.25 0.53125\n0.75 0.5 0.75 0.53125\n")
+    cfg, _ = write_cfg(tmp_path, f"\n[dual_bound]\nm = 1\ncrack_file = {two}\n")
+    assert main(["dual-bound", "--config", cfg]) == 3
+    assert "2 components" in capsys.readouterr().err
+
+
 def test_seeded_reruns_are_byte_identical(tmp_path):
     extra = """
 [poincare]
@@ -284,12 +293,16 @@ def test_toughness_must_be_finite_and_positive(tmp_path, capsys, command, sectio
     ("poincare", "poincare", "L = nan"),
     ("poincare", "poincare", "M = 0.5"),
     ("dual-bound", "dual_bound", "m = 0"),
+    ("release-curve", "family", "stride = 0"),
+    ("solve", "datum", "kind = meyers_trace\nK = 0"),
+    ("meyers-verify", "meyers_verify", "K = 0"),
 ])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, command, section, line):
-    # each of these ended in a traceback (exit 1) or ran on (exit 0)
+    # each of these ended in a traceback (exit 1) or ran on (exit 0); the
+    # option named is that of the last line
     cfg = cfg_with(tmp_path, section, line)
     assert main([command, "--config", cfg]) == 2
-    assert f"[{section}.{line.split()[0]}]" in capsys.readouterr().err
+    assert f"[{section}.{line.splitlines()[-1].split()[0]}]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, line", [(["--workers", "0"], ""),

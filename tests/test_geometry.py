@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fracturelab.errors import BudgetTooLarge, NonConformingCrack
+from fracturelab import geometry
 from fracturelab.geometry import (
     CrackSet,
     Disk,
@@ -15,7 +16,7 @@ from fracturelab.geometry import (
     write_crack_file,
 )
 
-from conftest import hslit, vslit
+from conftest import hslit, random_union, vslit
 
 
 # --- H1 measure -------------------------------------------------------------
@@ -169,7 +170,7 @@ def test_cover_component_budget_violation():
     dom = Domain.unit_square()
     grid = Grid(dom, 64)
     crack = hslit(grid, 4, 10, 2).union(hslit(grid, 40, 50, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetTooLarge, match="2 components"):
         cover_crack(crack, dom, m=1)
 
 
@@ -183,10 +184,17 @@ def test_cut_grid_empty_is_identity(unit_grid_16):
 
 
 def test_cut_grid_full_vertical_cut_disconnects(unit_grid_16):
-    crack = vslit(unit_grid_16, 8, 0, 16)
-    topo = cut_grid(unit_grid_16, crack)
-    n, labels = topo.dof_components()
-    assert n == 2
+    # the datum reaches both halves under "all": nothing floats
+    topo = cut_grid(unit_grid_16, vslit(unit_grid_16, 8, 0, 16))
+    assert len(topo.floating_dofs(topo.constrained_dofs())) == 0
+    # under "left" the right half shares no dof with the left one and is
+    # pinned whole
+    grid = Grid(Domain.unit_square(dirichlet=("left",)), 16)
+    topo = cut_grid(grid, vslit(grid, 8, 0, 16))
+    ci, _ = grid.cell_ij(np.arange(grid.n_cells))
+    right = np.unique(topo.cell_dofs[ci >= 8])
+    assert not np.isin(right, topo.cell_dofs[ci < 8]).any()
+    assert np.array_equal(topo.floating_dofs(topo.constrained_dofs()), right)
 
 
 def test_cut_grid_slit_duplication_count():
@@ -284,6 +292,33 @@ def test_effective_crack_drops_edges_inside_floating_regions(monkeypatch):
     corner = CrackSet(lr, [("h", i, 4) for i in range(6, 12)] + [("v", 6, j) for j in range(4)])
     inside = vslit(lr, 9, 1, 2)
     assert effective_crack(lr, corner.union(inside)).edges == corner.edges
+
+
+def test_parity_pins_of_cracks_without_cycles_match_the_labelling(monkeypatch):
+    # a crack that closes no cycle leaves one piece whose diagonal components
+    # are the node parities: floating_dofs answers without a graph, and the
+    # answer is the one the labelling of the cells' diagonals gives
+    rng = np.random.default_rng(3)
+    cases = []
+    for dirichlet in [("left", "right"), "all", ("left",), ("bottom", "right"), ("top",)]:
+        grid = Grid(Domain.unit_square(dirichlet=dirichlet), 12)
+        cracks = [random_union(grid, rng) for _ in range(60)]
+        # debond the Dirichlet sides but for their last k edges, which
+        # leaves the datum on no node, on one or on both parities
+        debond = [e for seg in grid.domain.dirichlet_part for e in grid.boundary_edges(seg.side)]
+        cracks += [CrackSet(grid, debond[:-k]).union(slit)
+                   for k in (1, 2, 3) for slit in (CrackSet(grid), vslit(grid, 6, 3, 5))]
+        for crack in cracks:
+            if not geometry._closes_a_cycle(grid, crack.edges):
+                topo = cut_grid(grid, crack)
+                constrained = topo.constrained_dofs()
+                cases.append((topo, constrained, topo.floating_dofs(constrained)))
+    assert len(cases) > 100
+    assert sum(0 < len(pins) < 3 for _, _, pins in cases) >= 3        # a parity chain
+    assert any(len(pins) == topo.n_dofs for topo, _, pins in cases)     # no datum at all
+    monkeypatch.setattr(geometry, "_closes_a_cycle", lambda grid, edges: True)
+    for topo, constrained, pins in cases:
+        assert np.array_equal(topo.floating_dofs(constrained), pins)
 
 
 def test_effective_crack_checks_the_lattice():

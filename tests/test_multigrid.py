@@ -18,8 +18,7 @@ from fracturelab.geometry import Cover, Disk, Domain, Grid, cut_grid
 from fracturelab.search import EnergyLandscape
 from fracturelab.solver import (
     _AggregationCycle,
-    _Coarsening,
-    _floating_null_vectors,
+    _dirichlet_setup,
     assemble_metric,
     cell_gradients,
     pcg,
@@ -67,7 +66,8 @@ def test_cycle_is_symmetric_positive_definite():
 def test_aggregates_hold_one_parity_and_respect_a_full_cut():
     grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 64)
     topo, free, A, nodes = p15_hessian_system(grid, vslit(grid, 32, 0, 64))
-    _, side = topo.dof_components()
+    side = np.zeros(topo.n_dofs, dtype=int)
+    side[topo.cell_dofs[grid.cell_ij(np.arange(grid.n_cells))[0] >= 32]] = 1
     side = side[free]
     assert len(np.unique(side)) == 2
     i, j = nodes
@@ -154,86 +154,44 @@ def test_newton_with_cycle_matches_jacobi_newton(monkeypatch):
     assert rep.inner_iterations < ref.inner_iterations
 
 
-def strip_system(grid, *rows):
-    """Free-free Laplace stiffness of full cuts at `rows`, with its rhs."""
-    crack = hslit(grid, 0, rows[0], grid.nx)
-    for row in rows[1:]:
-        crack = crack.union(hslit(grid, 0, row, grid.nx))
-    field, _ = solve(grid, laplace_integrand(), linear_x, crack)
-    topo = field.topology
-    xc, yc = grid.cell_centers()
-    K = assemble_metric(topo, laplace_integrand().cell_metric(xc, yc))
-    free = field.free_dofs()
-    u = field.values.copy()
-    u[free] = 0.0
-    return K[free][:, free], -(K @ u)[free], grid.node_ij(topo.dof_node[free])
-
-
-def test_cycle_deflates_a_floating_parity_chain(lr_domain):
+def test_setup_pins_one_dof_of_a_floating_parity_chain(lr_domain):
     # a full cut one row below the Neumann top side releases the datum on
     # its nodes; in the one-cell strip above it each parity couples only to
-    # itself, and the chain of one parity meets no datum: A is singular
+    # itself, and the chain of one parity meets no datum.  Set-up pins the
+    # chain's lowest dof, and the free block is regular; without that pin its
+    # smallest eigenvalue is -5.7e-15
     grid = Grid(lr_domain, 32)
-    A, b, nodes = strip_system(grid, 31)
-    cycle = _AggregationCycle(A, nodes)
-    assert cycle.null is not None and cycle.null.shape[1] == 1
-    v = cycle.null[:, 0]
-    i, j = nodes
-    chain = v != 0
-    assert np.all(j[chain] >= 31) and len(np.unique((i + j)[chain] % 2)) == 1
-    assert np.linalg.norm(A @ v) <= 1e-12 * abs(A).max()
-    x, _, res = pcg(A, b, nodes=nodes)
-    assert res <= 1e-10 and abs(x @ v) <= 1e-12
-    with pytest.raises(NoConvergence, match="floating"):
-        pcg(A, b + 1e-3 * np.linalg.norm(b) * v, nodes=nodes)
-    # anchored systems find nothing to deflate
-    A, _, nodes = strip_system(grid, 16)
-    assert _AggregationCycle(A, nodes).null is None
-
-
-def test_floating_chains_ignore_stored_zeros(lr_domain):
-    # Newton Hessians share one pattern, so isotropic cells store their
-    # cross-parity couplings as zeros; a stored zero must not join a
-    # floating parity chain to the anchored rest of A
-    grid = Grid(lr_domain, 32)
-    A, _, nodes = strip_system(grid, 1, 31)
-    Q = _AggregationCycle(A, nodes).null
-    assert Q is not None and Q.shape[1] == 2
-    i, j = nodes
-    chained = np.any(Q != 0, axis=1)
-    C = A.tocoo()
-    rows, cols = [C.row], [C.col]
-    for v in Q.T:
-        r = np.flatnonzero(v)[0]
-        beside = (np.abs(i - i[r]) + np.abs(j - j[r]) == 1) & ~chained
-        c = np.flatnonzero(beside)[0]
-        rows += [[r, c]]
-        cols += [[c, r]]
-    data = np.concatenate([C.data, np.zeros(4)])
-    Z = sp.csr_matrix((data, (np.concatenate(rows), np.concatenate(cols))), shape=A.shape)
-    assert Z.nnz == A.nnz + 4
-    null = np.column_stack(_floating_null_vectors(Z, (i + j) % 2))
-    assert null.shape[1] == 2
-    null /= np.linalg.norm(null, axis=0)
-    assert np.linalg.norm(Q - null @ (null.T @ Q)) <= 1e-12
-    # the cycle that records its levels keeps stored zeros on every level
-    null = _AggregationCycle(Z, nodes, coarsening=_Coarsening()).null
-    assert null is not None and null.shape[1] == 2
-    assert np.linalg.norm(Q - null @ (null.T @ Q)) <= 1e-12
+    for row, pins in ((16, 0), (31, 1)):
+        topo = cut_grid(grid, hslit(grid, 0, row, 32))
+        constrained, fixed, vals = _dirichlet_setup(topo, linear_x)
+        pinned = np.setdiff1d(fixed, constrained)
+        assert len(pinned) == pins
+        free = np.setdiff1d(np.arange(topo.n_dofs), fixed)
+        K = assemble_metric(topo, np.tile(np.eye(2), (grid.n_cells, 1, 1)))
+        A = K[free][:, free]
+        assert np.linalg.eigvalsh(A.toarray())[0] > 1e-3
+    strip = topo.cell_dofs[grid.cell_ij(np.arange(grid.n_cells))[1] == 31]
+    i, j = grid.node_ij(topo.dof_node[strip])
+    chain = strip[(i + j) % 2 == 1]
+    assert pinned[0] == chain.min()
+    u = np.zeros(topo.n_dofs)
+    u[fixed] = vals
+    x, _, res = pcg(A, -(K @ u)[free], nodes=grid.node_ij(topo.dof_node[free]))
+    assert res <= 1e-10
 
 
 def test_cycle_deflates_a_pure_neumann_hessian_with_cross_parity_couplings():
     # no datum anywhere: the constant and the checkerboard are both null,
-    # so the cycle deflates the even and the odd indicator
+    # so the caller deflates the even and the odd indicator
     grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 32)
     _, _, A, nodes = p15_hessian_system(grid, vslit(grid, 16, 8, 16), every_dof=True)
-    cycle = _AggregationCycle(A, nodes)
-    assert cycle.null is not None and cycle.null.shape[1] == 2
-    Q = cycle.null
-    assert np.abs(Q.T @ Q - np.eye(2)).max() < 1e-12
+    i, j = nodes
+    even = (i + j) % 2 == 0
+    deflate = [half / np.sqrt(half.sum()) for half in (even * 1.0, ~even * 1.0)]
+    Q = np.column_stack(deflate)
     b = np.random.default_rng(2).standard_normal(A.shape[0])
     b -= Q @ (Q.T @ b)
-    x, _, res = pcg(A, b, tol=1e-12, nodes=nodes)
+    x, _, res = pcg(A, b, tol=1e-12, deflate=deflate, nodes=nodes)
     ref = np.linalg.lstsq(A.toarray(), b, rcond=None)[0]
     assert res <= 1e-12
     assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)

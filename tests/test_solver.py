@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from fracturelab.energy import laplace_integrand, meyers_integrand, ppower_integrand
 from fracturelab.errors import ConfigError, NoConvergence, SingularSystem
-from fracturelab.geometry import Domain, Grid, cut_grid
+from fracturelab.geometry import CrackSet, Domain, Grid, cut_grid
 from fracturelab.solver import (
+    ScalarField,
+    _dirichlet_setup,
     _iteration_cap,
     assemble_metric,
     bulk_energy,
@@ -17,7 +20,7 @@ from fracturelab.solver import (
     total_energy,
 )
 
-from conftest import hslit, linear_x, vslit
+from conftest import hslit, linear_x, random_union, vslit
 
 
 def test_linear_field_is_exact():
@@ -154,6 +157,80 @@ def test_floating_component_pinned_to_zero():
     x, y = field.topology.dof_xy()
     inner = (x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.1 ** 2
     assert np.abs(field.values[inner]).max() == 0.0
+
+
+def quadratic_datum(x, y):
+    return np.asarray(x, dtype=float) + 0.5 * np.asarray(y, dtype=float) ** 2
+
+
+def free_block(topology, integrand, fixed, vals):
+    """The free-free stiffness of the integrand's metric, with its rhs, for
+    the dofs fixed at vals."""
+    xc, yc = topology.grid.cell_centers()
+    K = assemble_metric(topology, integrand.cell_metric(xc, yc))
+    free = np.setdiff1d(np.arange(topology.n_dofs), fixed)
+    u = np.zeros(topology.n_dofs)
+    u[fixed] = vals
+    return K[free][:, free].toarray(), -(K @ u)[free], free, u
+
+
+def whole_piece_pins(topology, constrained):
+    """Every dof of a cell-connected piece without a constrained dof: the
+    only pins before datum-free parity chains were pinned too."""
+    cd = topology.cell_dofs
+    adj = sp.coo_matrix((np.ones(3 * len(cd)), (cd[:, :3].T.ravel(), cd[:, 1:].T.ravel())),
+                        shape=(topology.n_dofs, topology.n_dofs))
+    n, piece = connected_components(adj, directed=False)
+    has = np.zeros(n, dtype=bool)
+    has[piece[constrained]] = True
+    return np.flatnonzero(~has[piece])
+
+
+@pytest.mark.parametrize("integrand", [laplace_integrand(), meyers_integrand(3.0, "radial_stiff")],
+                         ids=["laplace", "meyers"])
+def test_random_cracks_give_regular_free_blocks_and_unchanged_energies(integrand):
+    # a full cut or a debond can leave a parity chain that no datum reaches
+    # inside a piece that has one; set-up pins its lowest dof, so the free
+    # block is positive definite, and the energy is that of a least-squares
+    # solve with the whole datum-free pieces pinned only
+    grids = [Grid(Domain.unit_square(dirichlet=d), 12)
+             for d in [("left", "right"), "all", ("left",), ("bottom", "right"), ("top",)]]
+    rng = np.random.default_rng(4)
+    chains = 0
+    for draw in range(100):
+        grid = grids[draw % len(grids)]
+        crack = random_union(grid, rng)
+        topology = cut_grid(grid, crack)
+        constrained, fixed, vals = _dirichlet_setup(topology, quadratic_datum)
+        wholes = whole_piece_pins(topology, constrained)
+        chains += len(fixed) - len(constrained) - len(wholes)
+        A, _, _, _ = free_block(topology, integrand, fixed, vals)
+        if len(A):
+            assert np.linalg.eigvalsh(A)[0] > 1e-8 * np.abs(A).max()
+        reference = np.concatenate([constrained, wholes])
+        u_ref = np.zeros(topology.n_dofs)
+        u_ref[constrained] = quadratic_datum(*grid.node_xy(constrained))
+        A, b, free, u_ref = free_block(topology, integrand, reference, u_ref[reference])
+        if len(A):
+            u_ref[free] = np.linalg.lstsq(A, b, rcond=None)[0]
+        ref = bulk_energy(ScalarField(topology, integrand, u_ref))
+        _, rep = solve(grid, integrand, quadratic_datum, crack)
+        assert rep.bulk_energy == pytest.approx(ref, rel=1e-12, abs=1e-15)
+    assert chains >= 3
+
+
+def test_a_left_debond_that_closes_no_cycle_pins_the_odd_parity():
+    # the datum stays on the top-left node alone, which is even; the crack
+    # closes no cycle, so its one piece holds the two parities, and the odd
+    # one is pinned at its lowest dof, 1
+    grid = Grid(Domain.unit_square(dirichlet=("left",)), 8)
+    crack = CrackSet(grid, grid.boundary_edges("left")[:-1])
+    topology = cut_grid(grid, crack)
+    constrained, fixed, vals = _dirichlet_setup(topology, linear_x)
+    assert constrained.tolist() == [grid.node_id(0, 8)]
+    assert np.setdiff1d(fixed, constrained).tolist() == [1]
+    A, _, _, _ = free_block(topology, laplace_integrand(), fixed, vals)
+    assert np.linalg.eigvalsh(A)[0] > 1e-8 * np.abs(A).max()
 
 
 def test_field_from_function_branches_across_slit():
