@@ -112,8 +112,8 @@ def cmd_dual_bound(cfg: ExperimentConfig, out, seed):
     if crack_path:
         cracks.append(read_crack_file(crack_path, grid))
     else:
-        anchor = cfg.get_floats("dual_bound", "anchor", required=True)
-        lengths = cfg.get_ints("dual_bound", "lengths", required=True)
+        anchor = cfg.get_point("dual_bound", "anchor")
+        lengths = cfg.get_counts("dual_bound", "lengths", required=True)
         orient = cfg.get("dual_bound", "orientation", "h")
         i0 = int(round((anchor[0] - grid.domain.x0) / grid.h))
         j0 = int(round((anchor[1] - grid.domain.y0) / grid.h))
@@ -226,9 +226,11 @@ def cmd_evolve(cfg: ExperimentConfig, out, seed):
 
 
 def cmd_poincare(cfg: ExperimentConfig, out, seed):
-    from .poincare import uniformity_sweep
+    from .poincare import CASES, uniformity_sweep
 
     case = cfg.get("poincare", "case", required=True)
+    if case not in CASES:
+        raise ConfigError(f"unknown case {case!r} (choose from {CASES})", "poincare", "case")
     L = cfg.get_bounded("poincare", "L", closed=True)
     M = cfg.get_bounded("poincare", "M", low=1.0, closed=True)
     samples = cfg.get_count("poincare", "samples", 1)
@@ -253,6 +255,8 @@ def cmd_meyers_verify(cfg: ExperimentConfig, out, seed):
     """
     K = cfg.get_bounded("meyers_verify", "K", 3.0, low=1.0, closed=True)
     n = cfg.get_int("meyers_verify", "n", 128)
+    if n < 2:
+        raise ConfigError(f"must be >= 2, got {n}", "meyers_verify", "n")
     domain = Domain.unit_square(dirichlet="all", centered=True)
     grid = Grid(domain, n)
     rows = []

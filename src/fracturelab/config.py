@@ -101,11 +101,23 @@ class ExperimentConfig:
         except ValueError:
             raise ConfigError(f"not a number list: {raw!r}", section, option) from None
 
-    def get_ints(self, section, option, default=None, required=False):
+    def get_counts(self, section, option, default=None, required=False):
+        """A list of integers >= 1, such as edge counts."""
         vals = self.get_floats(section, option, None, required)
         if vals is None:
             return default
+        if not all(math.isfinite(v) and v == int(v) and v >= 1 for v in vals):
+            raise ConfigError(f"must be integers >= 1, got {self.get(section, option)!r}",
+                              section, option)
         return [int(v) for v in vals]
+
+    def get_point(self, section, option):
+        """A required point 'x y' of two finite numbers."""
+        xy = self.get_floats(section, option, required=True)
+        if len(xy) != 2 or not all(map(math.isfinite, xy)):
+            raise ConfigError(f"needs two finite numbers x y, got {self.get(section, option)!r}",
+                              section, option)
+        return xy
 
     # --- builders -------------------------------------------------------------
 
@@ -137,17 +149,17 @@ class ExperimentConfig:
         if kind == "laplace":
             return laplace_integrand()
         if kind == "meyers":
-            K = self.get_float("integrand", "K", required=True)
+            K = self.get_bounded("integrand", "K", low=1.0, closed=True)
             orientation = self.get("integrand", "orientation", "radial_stiff")
             try:
                 return meyers_integrand(K, orientation)
             except ValueError as exc:
                 raise ConfigError(str(exc), "integrand", "orientation") from None
         if kind == "ppower":
-            p = self.get_float("integrand", "p", required=True)
+            p = self.get_bounded("integrand", "p", low=1.0)
             coeff_kind = self.get("integrand", "coefficient", "constant")
             if coeff_kind == "constant":
-                coeff = self.get_float("integrand", "value", 1.0)
+                coeff = self.get_bounded("integrand", "value", 1.0)
             elif coeff_kind == "checkerboard":
                 vals = self.get_floats("integrand", "values", required=True)
                 if len(vals) != 2:
@@ -196,7 +208,10 @@ class ExperimentConfig:
         if kind == "meyers_trace":
             K = self.get_bounded("datum", "K", low=1.0, closed=True)
             orientation = self.get("datum", "orientation", "radial_stiff")
-            base = meyers_profile(K, orientation)
+            try:
+                base = meyers_profile(K, orientation)
+            except ValueError as exc:
+                raise ConfigError(str(exc), "datum", "orientation") from None
             return lambda x, y: scale * base(x, y)
         raise ConfigError(f"unknown kind {kind!r} (choose from {DATUM_KINDS})",
                           "datum", "kind")
@@ -208,15 +223,15 @@ class ExperimentConfig:
             kind = kind.strip()
             if kind == "segments":
                 stride = self.get_count("family", "stride", max(1, grid.nx // 16))
-                lengths = self.get_ints("family", "lengths", required=True)
+                lengths = self.get_counts("family", "lengths", required=True)
                 orientations = tuple(self.get("family", "orientations", "h v").split())
                 fams.append(segments_family(grid, stride, lengths, orientations))
             elif kind == "circles":
-                center = self.get_floats("family", "center", required=True)
+                center = self.get_point("family", "center")
                 radii = self.get_floats("family", "radii", required=True)
                 fams.append(circles_family(grid, center, radii))
             elif kind == "boundary_debond":
-                spans = self.get_ints("family", "spans", [grid.nx])
+                spans = self.get_counts("family", "spans", [grid.nx])
                 fams.append(boundary_debond_family(grid, spans))
             else:
                 raise ConfigError(f"unknown kind {kind!r} (choose from {FAMILY_KINDS})",
@@ -226,9 +241,11 @@ class ExperimentConfig:
     # --- run-level options ------------------------------------------------------
 
     def seed(self, override=None):
-        if override is not None:
-            return int(override)
-        return self.get_int("run", "seed", 0)
+        """--seed, else [run] seed (default 0); an integer >= 0."""
+        seed = int(override) if override is not None else self.get_int("run", "seed", 0)
+        if seed < 0:
+            raise ConfigError(f"must be >= 0, got {seed}", "run", "seed")
+        return seed
 
     def workers(self, override=None):
         """--workers, else [run] workers: validated (>= 1) and otherwise

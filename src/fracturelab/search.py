@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptyFamily, InvalidProbe
 from .geometry import CrackSet, CutTopology, Grid, cut_grid, effective_crack
-from .solver import ScalarField, solve
+from .solver import ScalarField, _Uncracked, solve
 
 ARGMIN_RTOL = 1e-9
 
@@ -58,6 +58,12 @@ class EnergyLandscape:
     union of nested circles costs no solve once the outer circle is cached.
     Every crack of one effective class gets the same energy, and the same
     field lifted onto its own cut grid, bit for bit.
+
+    Quadratic-form (p = 2) candidates are small perturbations of the
+    uncracked problem, and once the empty crack is solved the landscape
+    keeps that problem (solver._Uncracked): each later candidate's CG starts
+    from the uncracked field, and only the rows and aggregates its crack
+    changes are assembled; the rest is spliced in, bit for bit.
     """
 
     def __init__(self, grid: Grid, integrand, psi, tol: float = 1e-10):
@@ -67,6 +73,7 @@ class EnergyLandscape:
         self.tol = tol
         self._bulk = {}         # effective edge set -> bulk energy
         self._effective = {}    # edge set -> effective crack
+        self._uncracked = _Uncracked()
         self.empty_crack = CrackSet(grid)
 
     def effective(self, crack: CrackSet = None) -> CrackSet:
@@ -84,21 +91,24 @@ class EnergyLandscape:
         """Solve for one crack; its bulk energy is cached as a by-product.
 
         The effective crack is solved; a crack that differs from it gets the
-        field lifted onto its own cut grid.  Quadratic-form candidates run CG
-        on the aggregation cycle: landscape callers read energies and power
-        pairings, not the CG residual's smooth part that a direct solve()
-        keeps small (see solver).
+        field lifted onto its own cut grid, with that grid's fixed dofs.
+        Quadratic-form candidates run CG on the aggregation cycle, from the
+        uncracked problem once it is kept: landscape callers read energies
+        and power pairings, not the CG residual's smooth part that a direct
+        solve() keeps small (see solver).
         """
         crack = crack or self.empty_crack
         eff = self.effective(crack)
         fld, report = solve(self.grid, self.integrand, self.psi, eff, tol=self.tol,
-                            _cycle=True)
+                            _cycle=self._uncracked)
         self._bulk[eff.edges] = report.bulk_energy
         if len(eff) == len(crack):
             return fld
         top = cut_grid(self.grid, crack)
+        constrained = top.constrained_dofs()
+        fixed = np.union1d(constrained, top.floating_dofs(constrained))
         return ScalarField(top, fld.integrand, lift(fld.values, fld.topology, top),
-                           fld.psi, fld.constrained)
+                           fld.psi, constrained, fixed)
 
     def bulk(self, crack: CrackSet = None) -> float:
         eff = self.effective(crack)

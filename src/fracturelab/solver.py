@@ -18,7 +18,22 @@ for the later steps; each step refills only values: the Hessian's, the
 coarse operators', the smoothers' and the coarse factor.  The cycle also
 runs the quadratic-form solves of search.EnergyLandscape (about 25
 iterations per crack candidate at 128^2 instead of about 300), whose
-callers read energies and power pairings.  A direct solve() of a quadratic
+callers read energies and power pairings.
+
+Those candidates are small perturbations of one problem, the uncracked
+one.  Once a landscape has solved the empty crack it keeps that problem in
+an _Uncracked: the node values, which nodes are fixed, the free block, its
+right-hand side and its level-0 aggregates.  Each later candidate starts CG
+from the uncracked values (pcg returns a first iterate that already meets
+its stopping test after 0 iterations, as for a slit parallel to grad u),
+assembles only the free-block rows its crack changes and aggregates only
+the key blocks that hold them; every other row and aggregate is spliced in
+from the uncracked problem, so the block, the right-hand side and the cycle
+are bit for bit those of a full set-up, and only the first iterate differs.
+Direct solve(), newton and p != 2 landscapes start from 0 and set up in
+full.
+
+A direct solve() of a quadratic
 form stays on Jacobi: it stops on the CG residual alone, and at the same
 relative residual the cycle leaves more of it in smooth modes, so the
 stress's weak divergence against a smooth test function stays near 1e-10
@@ -197,11 +212,15 @@ def pcg(A, b, tol=1e-10, maxiter=None, deflate=(), x0=None, nodes=None,
     The preconditioner is Jacobi, or the aggregation V-cycle built from A
     when nodes = (i, j), the grid indices of A's rows, is given.
     coarsening: a _Coarsening that carries the cycle's aggregates from one
-    call to the next on matrices of one pattern (see _AggregationCycle).
-    deflate: orthonormal null vectors of A; b and the iterates are kept in
-    their orthogonal complement.  Returns (x, iterations, relative residual).
-    Raises NoConvergence on breakdown (a non-finite residual or p.Ap <= 0)
-    and when maxiter (default _iteration_cap(n)) iterations do not reach tol.
+    call to the next on matrices of one pattern, or gives its level-0
+    aggregates in advance (see _AggregationCycle).  x0 is the first iterate
+    (default 0); when its residual already meets the stopping test
+    |r| <= tol |b|, pcg returns it after 0 iterations without building a
+    preconditioner.  deflate: orthonormal null vectors of A; b and the
+    iterates are kept in their orthogonal complement.  Returns (x,
+    iterations, relative residual).  Raises NoConvergence on breakdown (a
+    non-finite residual or p.Ap <= 0) and when maxiter (default
+    _iteration_cap(n)) iterations do not reach tol.
     """
     n = A.shape[0]
     if maxiter is None:
@@ -222,6 +241,11 @@ def pcg(A, b, tol=1e-10, maxiter=None, deflate=(), x0=None, nodes=None,
         raise NoConvergence("pcg right-hand side is not finite", iterations=0,
                             residual=float("nan"))
     stop = (tol * bnorm) ** 2
+    x = np.zeros(n) if x0 is None else project(np.array(x0, dtype=float))
+    r = b.copy() if x0 is None else project(b - A @ x)
+    rr = r @ r
+    if x0 is not None and rr <= stop:
+        return x, 0, np.sqrt(rr) / bnorm
     if nodes is None:
         inv_d = _inverse_diagonal(A)
 
@@ -232,14 +256,11 @@ def pcg(A, b, tol=1e-10, maxiter=None, deflate=(), x0=None, nodes=None,
 
         def precondition(r, z):
             z[:] = project(cycle(r))
-    x = np.zeros(n) if x0 is None else project(np.array(x0, dtype=float))
-    r = b.copy() if x0 is None else project(b - A @ x)
     z = np.empty(n)
     precondition(r, z)
     p = z.copy()
     step = np.empty(n)
     rz = r @ z
-    rr = r @ r
     for it in range(1, maxiter + 1):
         Ap = project(A @ p)
         pAp = p @ Ap
@@ -298,13 +319,17 @@ _BRAESS = 1.5           # over-relaxation of the coarse correction
 
 
 class _Coarsening:
-    """The symbolic half of an aggregation cycle, for the matrices of one
+    """The symbolic half of an aggregation cycle.  For the matrices of one
     pattern: per level the aggregates, their count and the _Scatter of the
-    Galerkin operator on the level's entries.  levels is None until a cycle
-    has filled it."""
+    Galerkin operator on the level's entries; levels is None until a cycle
+    has filled it.  Or, with first, a callable that returns the level-0
+    aggregates (nc, agg) of the matrix a cycle is built on: such a
+    coarsening is never filled, and the cycle is built as one without a
+    coarsening, but for the call to _aggregates that first stands in for."""
 
-    def __init__(self):
+    def __init__(self, first=None):
         self.levels = None
+        self.first = first
 
 
 class _AggregationCycle:
@@ -321,7 +346,8 @@ class _AggregationCycle:
     (the SpGEMM of _galerkin drops sums that cancel, so its pattern can
     change with the values); with a filled one, it takes the aggregates and
     maps from it, so A must have the pattern of the matrix that filled it.
-    Smoothers, coarse values and the coarse factor are always A's own.
+    A coarsening with first gives only the level-0 aggregates.  Smoothers,
+    coarse values and the coarse factor are always A's own.
     """
 
     def __init__(self, A, nodes, singular=False, coarsening=None):
@@ -331,29 +357,33 @@ class _AggregationCycle:
                 self._add_level(A, _entry_rows(A), agg, nc)
                 A = galerkin(A.data)
         else:
+            first = coarsening.first if coarsening is not None else None
+            record = [] if coarsening is not None and first is None else None
             i, j = (np.asarray(v) for v in nodes)
             bi, bj, parity = i // 3, j // 3, (i + j) % 2
             strong = _STRONG
-            record = []
             while A.shape[0] > _COARSE_SIZE:
                 n = A.shape[0]
                 rows = _entry_rows(A)
-                key = ((bi * (bj.max() + 1) + bj) * 2 + parity).astype(A.indices.dtype)
-                nc, agg = _aggregates(A, rows, key, strong)
+                if first is not None and not self.levels:
+                    nc, agg = first()
+                else:
+                    key = ((bi * (bj.max() + 1) + bj) * 2 + parity).astype(A.indices.dtype)
+                    nc, agg = _aggregates(A, rows, key, strong)
                 if nc > _STALL * n:
                     break
                 self._add_level(A, rows, agg, nc)
-                if coarsening is None:
+                if record is None:
                     A = _galerkin(A, agg, nc)
                 else:
                     galerkin = _Scatter(agg[rows], agg[A.indices], (nc, nc))
                     record.append((agg, nc, galerkin))
                     A = galerkin(A.data)
-                first = np.empty(nc, dtype=agg.dtype)
-                first[agg] = np.arange(n, dtype=agg.dtype)
-                bi, bj, parity = bi[first] // 2, bj[first] // 2, parity[first]
+                member = np.empty(nc, dtype=agg.dtype)
+                member[agg] = np.arange(n, dtype=agg.dtype)
+                bi, bj, parity = bi[member] // 2, bj[member] // 2, parity[member]
                 strong = 0.0
-            if coarsening is not None:
+            if record is not None:
                 coarsening.levels = record
         dense = A.toarray()
         if singular:
@@ -447,15 +477,21 @@ class SolveReport:
 
 
 class ScalarField:
-    """Nodal displacement on a cut topology, plus its generating data."""
+    """Nodal displacement on a cut topology, plus its generating data.
+
+    constrained: the dofs that carry the Dirichlet datum; fixed: those and
+    the dofs the solve pinned to 0 (see _dirichlet_setup), constrained by
+    default.  free_dofs() are the others, the unknowns of the solve.
+    """
 
     def __init__(self, topology: CutTopology, integrand: Integrand, values,
-                 psi=None, constrained=None):
+                 psi=None, constrained=None, fixed=None):
         self.topology = topology
         self.integrand = integrand
         self.values = np.asarray(values, dtype=float)
         self.psi = psi
         self.constrained = constrained if constrained is not None else np.empty(0, int)
+        self.fixed = fixed if fixed is not None else self.constrained
         self._grads = None
 
     @property
@@ -473,13 +509,13 @@ class ScalarField:
 
     def free_dofs(self):
         mask = np.ones(self.topology.n_dofs, dtype=bool)
-        mask[self.constrained] = False
+        mask[self.fixed] = False
         return np.nonzero(mask)[0]
 
     def perturbed(self, delta):
-        """Copy with values + delta (delta must vanish on constrained dofs)."""
+        """Copy with values + delta (delta must vanish on fixed dofs)."""
         return ScalarField(self.topology, self.integrand, self.values + delta,
-                           self.psi, self.constrained)
+                           self.psi, self.constrained, self.fixed)
 
 
 @dataclass
@@ -550,13 +586,15 @@ def datum_scale(psi, grid: Grid):
 
 
 def solve(grid: Grid, integrand: Integrand, psi, crack: CrackSet = None,
-          tol: float = DEFAULT_TOL, *, _cycle: bool = False):
+          tol: float = DEFAULT_TOL, *, _cycle=False):
     """Elastic solution for the datum psi on the cracked grid.
 
     Returns (ScalarField, SolveReport).  psi is a vectorized callable
     psi(x, y) evaluated on Dirichlet nodes (values elsewhere are ignored).
     _cycle (package-internal) runs a quadratic-form solve on the
-    aggregation cycle instead of Jacobi; see the module docstring.
+    aggregation cycle instead of Jacobi; given an _Uncracked instead of
+    True, it also starts the solve from the uncracked problem kept there,
+    or keeps it there when the crack is empty.  See the module docstring.
     """
     t0 = time.perf_counter()
     topology = cut_grid(grid, crack)
@@ -568,9 +606,10 @@ def solve(grid: Grid, integrand: Integrand, psi, crack: CrackSet = None,
     free = np.nonzero(free)[0]
 
     if integrand.is_quadratic_form:
-        xc, yc = grid.cell_centers()
-        u, iters, res = _solve_quadratic(topology, integrand.cell_metric(xc, yc), u, free,
-                                         tol, _cycle)
+        # the metrics are the only reference to themselves, which
+        # _solve_quadratic drops before pcg
+        u, iters, res = _solve_quadratic(topology, integrand.cell_metric(*grid.cell_centers()),
+                                         u, free, tol, _cycle)
         inner = iters
         method = "cg"
     else:
@@ -579,7 +618,7 @@ def solve(grid: Grid, integrand: Integrand, psi, crack: CrackSet = None,
                                       gtol=1e-8, stall_gtol=1e-5, gfloor=1e-12)
         method = "newton"
 
-    field = ScalarField(topology, integrand, u, psi, constrained)
+    field = ScalarField(topology, integrand, u, psi, constrained, fixed)
     report = SolveReport(
         iterations=iters,
         inner_iterations=inner,
@@ -596,21 +635,204 @@ def _solve_quadratic(topology, metric_cells, u, free, tol, cycle, cells=None, lo
     """Minimize sum_{c in cells} h^2 grad u . M_c grad u / 2 - load . u[free]
     over u[free] for the (n, 2, 2) metrics M of the cells (all by default):
     the one assemble, free-block and pcg of every quadratic solve.  cycle
-    runs pcg on the aggregation cycle instead of Jacobi; deflate is passed
-    to pcg.  Returns (u, CG iterations, relative residual)."""
-    K = assemble_metric(topology, metric_cells, cells=cells)
+    runs pcg on the aggregation cycle instead of Jacobi; an _Uncracked runs
+    it too, spliced from and started at the uncracked problem once that is
+    kept, and keeps it when topology is uncut.  deflate is passed to pcg.
+    Returns (u, CG iterations, relative residual)."""
     if len(free) == 0:
         return u, 0, 0.0
-    Kff = K[free][:, free]
-    b = -(K @ u)[free]
-    del K  # not held while pcg builds its preconditioner
+    uncracked = cycle if isinstance(cycle, _Uncracked) else None
+    x0 = coarsening = None
+    keeping = False
+    if uncracked is not None and uncracked.values is not None:
+        Kff, b, coarsening = uncracked.system(topology, metric_cells, u, free)
+        x0 = uncracked.values[topology.dof_node[free]]
+    else:
+        K = assemble_metric(topology, metric_cells, cells=cells)
+        Kff = K[free][:, free]
+        b = -(K @ u)[free]
+        del K  # not held while pcg builds its preconditioner
+        keeping = uncracked is not None and topology.crack.is_empty
+        if keeping:
+            coarsening = uncracked.keep(topology, Kff, b, free)
+    del metric_cells  # not held while pcg runs, where a solve's memory peaks
     if load is not None:
         b += load
     nodes = topology.grid.node_ij(topology.dof_node[free]) if cycle else None
-    x, iters, res = pcg(Kff, b, tol=tol, deflate=deflate, nodes=nodes)
+    x, iters, res = pcg(Kff, b, tol=tol, deflate=deflate, x0=x0, nodes=nodes,
+                        coarsening=coarsening)
     u = u.copy()
     u[free] += x
+    if keeping:
+        uncracked.values = u
     return u, iters, res
+
+
+def _cells_around(grid: Grid, nodes):
+    """The ids of the cells (up to 4) that have a corner at each node."""
+    i, j = grid.node_ij(nodes)
+    ci = i[:, None] + np.array([-1, 0, -1, 0])
+    cj = j[:, None] + np.array([-1, -1, 0, 0])
+    ok = (ci >= 0) & (ci < grid.nx) & (cj >= 0) & (cj < grid.ny)
+    return grid.cell_id(ci[ok], cj[ok])
+
+
+class _Uncracked:
+    """The quadratic problem of the uncut grid, kept for the crack candidates
+    of one landscape: its node values, which nodes are fixed, the free block
+    and right-hand side, and the block's level-0 aggregates (as the lowest
+    member of each row's aggregate).  values is None until the solve of the
+    empty crack has filled it.
+
+    A crack changes the free block only in the rows of dofs whose cells it
+    cuts, and in the rows coupled to a node whose fixed status or value
+    changes: a crack endpoint on a Dirichlet side releases the datum, and a
+    closed crack pins what it encloses.  system() assembles those rows over
+    their cells and splices every other row in from the uncracked block,
+    renumbered, so the block and right-hand side are bit for bit those of a
+    full assembly; likewise it aggregates only the key blocks of _aggregates
+    that hold a changed row (aggregates never leave a key block).
+    """
+
+    def __init__(self):
+        self.values = None
+
+    def keep(self, topology, block, rhs, free):
+        """Keep the uncut problem's free block and right-hand side; returns
+        the _Coarsening of its level-0 aggregates.  values is set by the
+        caller once the solve is done.
+
+        A landscape holds this for its lifetime, so it is kept compact: row
+        lengths (at most 9) in bytes, columns and aggregate members in the
+        smallest unsigned type, the entries as byte codes when there are at
+        most 256 distinct ones (piecewise-constant coefficients), and the
+        right-hand side only where it is not -0.0, i.e. -(K @ u) of a row
+        coupled to no fixed node."""
+        small = np.min_scalar_type(len(free))
+        entries = np.unique(block.data)
+        self.entries = ((entries, np.searchsorted(entries, block.data).astype(np.uint8))
+                        if len(entries) <= 256 else (block.data, None))
+        self.indices = block.indices.astype(small)
+        self.lengths = np.diff(block.indptr).astype(np.uint8)
+        self.loaded = np.flatnonzero((rhs != 0) | ~np.signbit(rhs)).astype(small)
+        self.loads = rhs[self.loaded]
+        self.fixed = np.ones(topology.n_dofs, dtype=bool)
+        self.fixed[free] = False
+        i, j = topology.grid.node_ij(free)
+        aggregates = _aggregates(block, _entry_rows(block), self._keys(topology.grid, i, j),
+                                 _STRONG)
+        # per row, the row of its aggregate's lowest member
+        self.lowest = _first_members(aggregates[1]).astype(small)[aggregates[1]]
+        return _Coarsening(first=lambda: aggregates)
+
+    @staticmethod
+    def _keys(grid, i, j):
+        """The key of _aggregates at level 0 (3 x 3 node blocks per parity)."""
+        return ((i // 3) * (grid.ny // 3 + 1) + j // 3) * 2 + (i + j) % 2
+
+    def system(self, topology, metric_cells, u, free):
+        """The free block and right-hand side of a cut grid's problem with
+        fixed values u, and a _Coarsening that gives the block's level-0
+        aggregates: those of K[free][:, free], -(K @ u)[free] and _aggregates
+        for the full assembly K, bit for bit."""
+        grid = topology.grid
+        n_nodes = grid.n_nodes
+        cd = topology.cell_dofs
+        fixed = np.ones(topology.n_dofs, dtype=bool)
+        fixed[free] = False
+        fixed_nodes = fixed[:n_nodes]
+        moved = np.flatnonzero((fixed_nodes != self.fixed)
+                               | (fixed_nodes & (u[:n_nodes] != self.values)))
+        # the cells the crack cuts hold a duplicate dof; their dofs change
+        # rows, and so do the nodes they held before the cut and the dofs of
+        # the cells around a node whose fixed status or value moved
+        around = _cells_around(grid, topology.dof_node[n_nodes:])
+        cut = cd[around[(cd[around] >= n_nodes).any(axis=1)]]
+        changed = np.zeros(topology.n_dofs, dtype=bool)
+        changed[cut] = True
+        changed[topology.dof_node[cut]] = True
+        changed[cd[_cells_around(grid, moved)]] = True
+        cells = np.zeros(grid.n_cells, dtype=bool)
+        cells[_cells_around(grid, topology.dof_node[changed])] = True
+        cells = np.flatnonzero(cells)
+        fresh = np.flatnonzero(changed[free])
+        K = assemble_metric(topology, metric_cells[cells], cells=cells)[free[fresh]]
+        fresh_rhs = -(K @ u)
+        K = K[:, free]
+
+        # every other row is the uncracked row of a node free in both
+        # problems, with its columns renumbered from there to here
+        itype = K.indices.dtype
+        was_free = ~self.fixed
+        renumber = (np.cumsum(~fixed_nodes, dtype=itype) - 1)[was_free]
+        clean0 = ~(changed[:n_nodes] | fixed_nodes)[was_free]
+        rows0 = np.flatnonzero(clean0).astype(itype)
+        spliced = renumber[rows0]
+        n = len(free)
+        lengths = np.empty(n, dtype=itype)
+        lengths[spliced] = self.lengths[rows0]
+        lengths[fresh] = np.diff(K.indptr)
+        indptr = np.zeros(n + 1, dtype=itype)
+        np.cumsum(lengths, out=indptr[1:])
+        start = np.empty(n, dtype=itype)
+        start[spliced] = (np.cumsum(self.lengths, dtype=itype) - self.lengths)[rows0]
+        start[fresh] = K.indptr[:-1] + len(self.indices)
+        take = np.repeat(start - indptr[:-1], lengths) + np.arange(indptr[-1], dtype=itype)
+        columns = (self.indices if np.array_equal(fixed_nodes, self.fixed)
+                   else renumber[self.indices])
+        data, codes = self.entries
+        block = sp.csr_matrix(
+            (np.concatenate([data if codes is None else data[codes], K.data])[take],
+             np.concatenate([columns, K.indices]).astype(itype, copy=False)[take], indptr),
+            shape=(n, n))
+        rhs = np.full(n, -0.0)
+        loaded = clean0[self.loaded]
+        rhs[renumber[self.loaded[loaded]]] = self.loads[loaded]
+        rhs[fresh] = fresh_rhs
+
+        def first():
+            return self._splice_aggregates(topology, block, free, changed, spliced,
+                                           renumber[self.lowest[rows0]])
+        return block, rhs, _Coarsening(first=first)
+
+    def _splice_aggregates(self, topology, block, free, changed, spliced, lowest):
+        """_aggregates of block at level 0: the uncracked aggregates of every
+        key block without a changed dof, and fresh ones in the others,
+        numbered by their lowest member as csgraph numbers components;
+        spliced holds the unchanged rows, lowest the row of the lowest member
+        of each one's uncracked aggregate."""
+        grid = topology.grid
+        # the nodes of every key block that holds a changed dof
+        blocks = np.unique(self._keys(grid, *grid.node_ij(topology.dof_node[changed])))
+        (bi, bj), parity = np.divmod(blocks // 2, grid.ny // 3 + 1), blocks % 2
+        i = 3 * bi[:, None] + np.array([0, 1, 2, 0, 1, 2, 0, 1, 2])
+        j = 3 * bj[:, None] + np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
+        inside = (i <= grid.nx) & (j <= grid.ny) & ((i + j) % 2 == parity[:, None])
+        dirty = np.zeros(grid.n_nodes, dtype=bool)
+        dirty[grid.node_id(i[inside], j[inside])] = True
+        dirty = dirty[topology.dof_node[free]]
+        # a key block without a changed dof holds unchanged rows only and
+        # keeps its uncracked aggregates; each row's lowest member, then
+        # those of the fresh aggregates of the other blocks
+        low = np.empty(len(free), dtype=block.indices.dtype)
+        low[spliced] = lowest
+        fresh = np.flatnonzero(dirty)
+        if len(fresh):
+            sub = block[fresh][:, fresh]
+            key = self._keys(grid, *grid.node_ij(topology.dof_node[free[fresh]]))
+            _, agg = _aggregates(sub, _entry_rows(sub), key, _STRONG)
+            low[fresh] = fresh[_first_members(agg)[agg]]
+        is_low = np.zeros(len(free), dtype=bool)
+        is_low[low] = True
+        rank = np.cumsum(is_low, dtype=block.indices.dtype) - 1
+        return int(rank[-1]) + 1, rank[low]
+
+
+def _first_members(agg):
+    """The lowest member of each component, for labels numbered by their
+    lowest member (as csgraph numbers them)."""
+    top = np.maximum.accumulate(agg)
+    return np.flatnonzero(np.diff(top, prepend=-1) > 0)
 
 
 def _energy_and_gradient(topology, integrand, u, free, xc, yc, cells=None, load=None,

@@ -296,10 +296,23 @@ def test_toughness_must_be_finite_and_positive(tmp_path, capsys, command, sectio
     ("release-curve", "family", "stride = 0"),
     ("solve", "datum", "kind = meyers_trace\nK = 0"),
     ("meyers-verify", "meyers_verify", "K = 0"),
+    ("release-curve", "family", "lengths = nan"),
+    ("dual-bound", "dual_bound", "lengths = nan"),
+    ("release-curve", "family", "kind = segments+boundary_debond\nspans = 0"),
+    ("release-curve", "family", "kind = segments+boundary_debond\nspans = nan"),
+    ("dual-bound", "dual_bound", "anchor = 0"),
+    ("release-curve", "family", "kind = circles\nradii = 0.1\ncenter = 0"),
+    ("solve", "integrand", "kind = ppower\np = 0"),
+    ("meyers-verify", "meyers_verify", "n = 0"),
+    ("poincare", "poincare", "case = x"),
+    ("solve", "integrand", "kind = ppower\np = 2\nvalue = nan"),
+    ("solve", "integrand", "kind = meyers\nK = nan"),
+    ("solve", "datum", "kind = meyers_trace\nK = 3\norientation = x"),
+    ("poincare", "run", "seed = -1"),
 ])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, command, section, line):
-    # each of these ended in a traceback (exit 1) or ran on (exit 0); the
-    # option named is that of the last line
+    # each of these ended in a traceback (exit 1), ran on (exit 0) or failed
+    # as a solver error (exit 4); the option named is that of the last line
     cfg = cfg_with(tmp_path, section, line)
     assert main([command, "--config", cfg]) == 2
     assert f"[{section}.{line.splitlines()[-1].split()[0]}]" in capsys.readouterr().err

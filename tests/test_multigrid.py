@@ -9,23 +9,29 @@ path on the same problems.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from fracturelab import solver
 from fracturelab.dual import _collar_null_vectors, cutoff, member_collar, release_bound
 from fracturelab.energy import laplace_integrand, meyers_integrand, ppower_integrand
 from fracturelab.errors import NoConvergence
-from fracturelab.geometry import Cover, Disk, Domain, Grid, cut_grid
+from fracturelab.geometry import CrackSet, Cover, Disk, Domain, Grid, cut_grid
 from fracturelab.search import EnergyLandscape
+from fracturelab.singularity import meyers_profile
 from fracturelab.solver import (
+    _STRONG,
     _AggregationCycle,
+    _Uncracked,
+    _aggregates,
     _dirichlet_setup,
+    _entry_rows,
     assemble_metric,
     cell_gradients,
     pcg,
     solve,
 )
 
-from conftest import hslit, linear_x, vslit
+from conftest import hslit, linear_x, random_union, vslit
 
 
 def p15_hessian_system(grid, crack, every_dof=False):
@@ -251,3 +257,122 @@ def test_newton_aggregates_its_warm_start_and_first_hessian_only(monkeypatch):
     release_bound(grid, ppower_integrand(1.5), linear_x, vslit(grid, 32, 26, 12), 1)
     assert len(solves) > 2
     assert all(len(builds) >= 2 and not any(builds[2:]) for builds in solves)
+
+
+def test_free_dofs_are_the_solve_unknowns_on_a_strip_with_a_floating_chain(lr_domain):
+    # the pinned lowest dof of the odd chain is fixed, not free, so the block
+    # over free_dofs() is regular and stress() leaves the pin out of its
+    # residuals; a field lifted by the landscape gets its own grid's pins
+    grid = Grid(lr_domain, 32)
+    crack = hslit(grid, 0, 31, 32)
+    field, _ = solve(grid, laplace_integrand(), linear_x, crack)
+    topo = field.topology
+    constrained, fixed, _ = _dirichlet_setup(topo, linear_x)
+    assert len(fixed) == len(constrained) + 1
+    free = field.free_dofs()
+    assert np.array_equal(free, np.setdiff1d(np.arange(topo.n_dofs), fixed))
+    K = assemble_metric(topo, np.tile(np.eye(2), (grid.n_cells, 1, 1)))
+    assert np.linalg.eigvalsh(K[free][:, free].toarray())[0] > 1e-3
+    # a slit inside a closed box is solved through the box alone; the field
+    # lifted onto the slit's cut grid pins that grid's floating dofs
+    box = [("h", i, j) for i in range(8, 24) for j in (8, 24)]
+    box += [("v", i, j) for i in (8, 24) for j in range(8, 24)]
+    boxed = CrackSet(grid, box + [("v", 16, j) for j in range(12, 20)])
+    land = EnergyLandscape(grid, laplace_integrand(), linear_x)
+    lifted = land.solve_field(boxed)
+    assert len(land.effective(boxed)) == len(box)
+    _, fixed, _ = _dirichlet_setup(lifted.topology, linear_x)
+    assert np.array_equal(lifted.fixed, fixed)
+
+
+def quadratic_datum(x, y):
+    return 1.0 + np.asarray(x, dtype=float) + 0.5 * np.asarray(y, dtype=float) ** 2
+
+
+@pytest.mark.parametrize("integrand, datum, centered", [
+    (laplace_integrand(), quadratic_datum, False),
+    (meyers_integrand(3.0, "radial_stiff"), meyers_profile(3.0, "radial_stiff"), True),
+], ids=["laplace", "meyers"])
+def test_spliced_systems_match_a_full_assembly(integrand, datum, centered):
+    # every crack candidate's free block, right-hand side and level-0
+    # aggregates, spliced from the uncracked problem, are bit for bit those
+    # of a full assembly; only the first CG iterate differs from a cold solve.
+    # Draw 1 debonds a loaded side but for its first edge: loaded on the
+    # bottom alone, the datum then stays on node 0, and node 1 keeps its
+    # fixed status but goes from its datum to the pin of the odd chain
+    rng = np.random.default_rng(12)
+    cases = [(12, ("left", "right")), (20, "all"), (32, ("left",)), (24, ("top",)),
+             (16, ("bottom",))]
+    for n, dirichlet in cases:
+        grid = Grid(Domain.unit_square(dirichlet=dirichlet, centered=centered), n)
+        uncracked = _Uncracked()
+        _, rep0 = solve(grid, integrand, datum, _cycle=uncracked)
+        metric = integrand.cell_metric(*grid.cell_centers())
+        side = grid.boundary_edges("left" if dirichlet == "all" else dirichlet[0])
+        for draw in range(10):
+            crack = (random_union(grid, rng) if draw > 1 else
+                     CrackSet(grid, side[1:] if draw else ()))
+            topo = cut_grid(grid, crack)
+            _, fixed, vals = _dirichlet_setup(topo, datum)
+            u = np.zeros(topo.n_dofs)
+            u[fixed] = vals
+            free = np.setdiff1d(np.arange(topo.n_dofs), fixed)
+            block, rhs, coarsening = uncracked.system(topo, metric, u, free)
+            K = assemble_metric(topo, metric)
+            full = K[free][:, free]
+            assert np.array_equal(block.data.view(np.uint64), full.data.view(np.uint64))
+            assert np.array_equal(block.indices, full.indices)
+            assert np.array_equal(block.indptr, full.indptr)
+            assert np.array_equal(rhs.view(np.uint64), (-(K @ u)[free]).view(np.uint64))
+            i, j = grid.node_ij(topo.dof_node[free])
+            bi, bj = i // 3, j // 3
+            key = ((bi * (bj.max() + 1) + bj) * 2 + (i + j) % 2).astype(full.indices.dtype)
+            nc, agg = _aggregates(full, _entry_rows(full), key, _STRONG)
+            spliced_nc, spliced_agg = coarsening.first()
+            assert spliced_nc == nc and np.array_equal(spliced_agg, agg)
+            _, cold = solve(grid, integrand, datum, crack, _cycle=True)
+            _, warm = solve(grid, integrand, datum, crack, _cycle=uncracked)
+            assert abs(warm.bulk_energy - cold.bulk_energy) <= 1e-12 * rep0.bulk_energy
+            assert warm.residual <= 1e-10
+
+
+def test_a_slit_parallel_to_the_gradient_costs_no_cg_iteration(lr_domain):
+    # the uncracked field x solves every horizontal slit's problem, so the
+    # warm start already meets pcg's stopping test
+    grid = Grid(lr_domain, 64)
+    land = EnergyLandscape(grid, laplace_integrand(), linear_x)
+    assert land.bulk() == pytest.approx(1.0)
+    _, cold = solve(grid, laplace_integrand(), linear_x, hslit(grid, 10, 20, 30), _cycle=True)
+    _, warm = solve(grid, laplace_integrand(), linear_x, hslit(grid, 10, 20, 30),
+                    _cycle=land._uncracked)
+    assert cold.iterations > 10 and warm.iterations == 0
+    assert warm.bulk_energy == pytest.approx(cold.bulk_energy, rel=1e-12)
+
+
+def test_pcg_returns_an_exact_first_iterate_without_building_the_cycle(monkeypatch):
+    grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 32)
+    _, _, A, nodes = p15_hessian_system(grid, vslit(grid, 16, 8, 16))
+    rng = np.random.default_rng(6)
+    b = rng.standard_normal(A.shape[0])
+    exact = spsolve(A.tocsc(), b)
+    builds = []
+    build = solver._AggregationCycle.__init__
+
+    def counted_build(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(solver._AggregationCycle, "__init__", counted_build)
+    x, iters, res = pcg(A, b, tol=1e-10, x0=exact, nodes=nodes)
+    assert (iters, builds) == (0, []) and res <= 1e-10
+    assert np.array_equal(x, exact)
+    # a first iterate whose residual sits just inside or just outside the
+    # gate |r| <= tol |b| stops at that same gate
+    e = rng.standard_normal(A.shape[0])
+    Ae = np.linalg.norm(A @ e)
+    for factor, stops_at_once in ((0.5, True), (2.0, False)):
+        x0 = exact + factor * 1e-10 * np.linalg.norm(b) / Ae * e
+        x, iters, res = pcg(A, b, tol=1e-10, x0=x0, nodes=nodes)
+        assert (iters == 0) == stops_at_once and res <= 1e-10
+        assert np.linalg.norm(b - A @ x) <= 1.01e-10 * np.linalg.norm(b)
+    assert len(builds) == 1
