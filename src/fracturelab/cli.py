@@ -10,6 +10,7 @@ are validated and have no effect.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -115,6 +116,8 @@ def cmd_dual_bound(cfg: ExperimentConfig, out, seed):
         anchor = cfg.get_point("dual_bound", "anchor")
         lengths = cfg.get_counts("dual_bound", "lengths", required=True)
         orient = cfg.get("dual_bound", "orientation", "h")
+        if orient not in ("h", "v"):
+            raise ConfigError(f"must be h or v, got {orient!r}", "dual_bound", "orientation")
         i0 = int(round((anchor[0] - grid.domain.x0) / grid.h))
         j0 = int(round((anchor[1] - grid.domain.y0) / grid.h))
         for n in lengths:
@@ -154,11 +157,16 @@ def cmd_release_curve(cfg: ExperimentConfig, out, seed):
     psi = cfg.build_datum()
     family = cfg.build_family(grid)
     k = cfg.toughness("release_curve")
+    option = "budgets"
     budgets = cfg.get_floats("release_curve", "budgets", None)
     if budgets is None:
-        l_max = cfg.get_float("release_curve", "l_max", required=True)
-        levels = cfg.get_int("release_curve", "levels", 7)
+        option = "l_max"
+        l_max = cfg.get_bounded("release_curve", "l_max")
+        levels = cfg.get_count("release_curve", "levels", 7)
         budgets = [l_max * 2.0 ** (-i) for i in range(levels)]
+    if not all(0 < b < math.inf for b in budgets):     # an l_max ladder can underflow to 0
+        raise ConfigError(f"every budget must be finite and > 0, got {budgets}",
+                          "release_curve", option)
     landscape = EnergyLandscape(grid, integrand, psi, tol=cfg.tol())
     try:
         curve = release_curve(landscape, family, budgets, k)
@@ -180,14 +188,17 @@ def cmd_classify(cfg: ExperimentConfig, out, seed):
     grid = cfg.build_grid()
     integrand = cfg.build_integrand()
     psi = cfg.build_datum()
-    raw = cfg.get("classify", "probes", required=True)
     probes = []
-    for chunk in raw.split(";"):
-        vals = [float(t) for t in chunk.replace(",", " ").split()]
-        if len(vals) != 2:
-            raise ConfigError("each probe needs 'x y'", "classify", "probes")
-        probes.append(tuple(vals))
-    margin = cfg.get_float("classify", "margin", 0.1)
+    for chunk in cfg.get("classify", "probes", required=True).split(";"):
+        try:
+            xy = tuple(float(t) for t in chunk.replace(",", " ").split())
+        except ValueError:
+            xy = ()
+        if len(xy) != 2 or not all(map(math.isfinite, xy)):
+            raise ConfigError(f"each probe needs two finite numbers 'x y', got {chunk.strip()!r}",
+                              "classify", "probes")
+        probes.append(xy)
+    margin = cfg.get_bounded("classify", "margin", 0.1, closed=True)
     crack_path = cfg.get("classify", "crack_file", None)
     crack = read_crack_file(crack_path, grid) if crack_path else None
     field, _ = solve(grid, integrand, psi, crack, tol=cfg.tol())

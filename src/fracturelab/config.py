@@ -44,17 +44,15 @@ class ExperimentConfig:
 
     # --- raw access ----------------------------------------------------------
 
-    def has(self, section, option=None):
-        if option is None:
-            return self.parser.has_section(section)
-        return self.parser.has_option(section, option)
-
     def get(self, section, option, default=None, required=False):
         if not self.parser.has_option(section, option):
             if required:
                 raise ConfigError("missing required option", section, option)
             return default
-        return self.parser.get(section, option)
+        try:
+            return self.parser.get(section, option)
+        except configparser.InterpolationError as exc:    # a stray '%'
+            raise ConfigError(str(exc), section, option) from None
 
     def get_float(self, section, option, default=None, required=False):
         raw = self.get(section, option, None, required)
@@ -132,8 +130,8 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc), "domain", "dirichlet") from None
 
-    def build_grid(self, domain=None) -> Grid:
-        domain = domain or self.build_domain()
+    def build_grid(self) -> Grid:
+        domain = self.build_domain()
         n = self.get_int("grid", "n", required=True)
         ny = self.get_int("grid", "ny", None)
         try:
@@ -225,10 +223,16 @@ class ExperimentConfig:
                 stride = self.get_count("family", "stride", max(1, grid.nx // 16))
                 lengths = self.get_counts("family", "lengths", required=True)
                 orientations = tuple(self.get("family", "orientations", "h v").split())
+                if not orientations or not set(orientations) <= {"h", "v"}:
+                    raise ConfigError(f"must be h, v or both, got {' '.join(orientations)!r}",
+                                      "family", "orientations")
                 fams.append(segments_family(grid, stride, lengths, orientations))
             elif kind == "circles":
                 center = self.get_point("family", "center")
                 radii = self.get_floats("family", "radii", required=True)
+                if not all(0 < r < math.inf for r in radii):
+                    raise ConfigError(f"radii must be finite and > 0, got "
+                                      f"{self.get('family', 'radii')!r}", "family", "radii")
                 fams.append(circles_family(grid, center, radii))
             elif kind == "boundary_debond":
                 spans = self.get_counts("family", "spans", [grid.nx])
@@ -266,7 +270,10 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     return ExperimentConfig(parser, str(path))

@@ -343,12 +343,13 @@ def _holder_terms(sigma, eta, cells, h2, q):
 
 
 def release_bound(grid: Grid, integrand: Integrand, psi, crack: CrackSet, m: int,
-                  base=None, tol: float = 1e-10, residual_tol: float = 1e-6,
-                  compat_tol: float = 1e-6) -> ReleaseBoundReport:
+                  base=None, tol: float = 1e-10) -> ReleaseBoundReport:
     """Certified upper bound on the bulk-energy release of a crack.
 
     Pipeline: cover -> cutoff -> correctors -> tau -> duality gap.  ``base``
     may carry a precomputed (field, stress) pair of the uncracked problem.
+    The correctors and tau are gated at the default tolerances of corrector
+    and assemble_tau (1e-5 for tau of the empty crack).
     """
     if base is None:
         base_field, _ = solve(grid, integrand, psi, tol=tol)
@@ -359,8 +360,7 @@ def release_bound(grid: Grid, integrand: Integrand, psi, crack: CrackSet, m: int
     if crack.is_empty:
         cov = cover_crack(crack, grid.domain, m)
         phi = cutoff(cov, grid)
-        tau = assemble_tau(base_stress, phi, [], crack,
-                           residual_tol=max(residual_tol, 1e-5))
+        tau = assemble_tau(base_stress, phi, [], crack, residual_tol=1e-5)
         return ReleaseBoundReport(0.0, 0.0, cov, [], tau.residual, 0.0)
 
     cover = cover_crack(crack, grid.domain, m)
@@ -372,9 +372,9 @@ def release_bound(grid: Grid, integrand: Integrand, psi, crack: CrackSet, m: int
     for idx in range(len(cover.members)):
         col = member_collar(phi, idx, base_field)
         corr = corrector(col, base_stress.sigma, phi, col.case, p=integrand.p,
-                         tol=tol, compat_tol=compat_tol, topology=topology0)
+                         tol=tol, topology=topology0)
         correctors.append(corr)
-    tau = assemble_tau(base_stress, phi, correctors, crack, residual_tol)
+    tau = assemble_tau(base_stress, phi, correctors, crack)
     gap = duality_gap(tau, base_stress)
 
     members = []

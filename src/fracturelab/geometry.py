@@ -188,6 +188,14 @@ class Grid:
             [n00, n00 + 1, n00 + (self.nx + 1), n00 + (self.nx + 2)], axis=1
         )
 
+    def cells_around(self, nodes):
+        """The ids of the cells (up to 4) that have a corner at each node."""
+        i, j = self.node_ij(nodes)
+        ci = i[:, None] + np.array([-1, 0, -1, 0])
+        cj = j[:, None] + np.array([-1, -1, 0, 0])
+        ok = (ci >= 0) & (ci < self.nx) & (cj >= 0) & (cj < self.ny)
+        return self.cell_id(ci[ok], cj[ok])
+
     # --- edges --------------------------------------------------------------
 
     def edge_valid(self, edge: Edge):
@@ -339,35 +347,45 @@ class CrackSet:
         return np.stack([x, y], axis=1)
 
 
+class _UnionFind:
+    """Union-find (Tarjan, J. ACM 22, 1975) over ordered hashable members.
+
+    Each set is rooted at its least member, so roots do not depend on the
+    order of the unions.  A member in no union is its own root.
+    """
+
+    def __init__(self):
+        self.parent = {}        # non-roots only
+
+    def find(self, a):
+        parent = self.parent
+        while a in parent:
+            up = parent[a]
+            parent[a] = parent.get(up, up)      # path halving
+            a = up
+        return a
+
+    def union(self, a, b):
+        """Join the sets of a and b; False when they were one set already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if ra < rb:
+            ra, rb = rb, ra
+        self.parent[ra] = rb
+        return True
+
+
 def connected_components(crack: CrackSet):
-    """Split a crack into edge-adjacency components (shared endpoint nodes)."""
-    if crack.is_empty:
-        return []
+    """Split a crack into edge-adjacency components (shared endpoint nodes),
+    ordered by their least node."""
     edges = crack.sorted_edges()
-    parent = {}
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def link(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    forest = _UnionFind()
     for e in edges:
-        a, b = crack.grid.edge_nodes(e)
-        parent.setdefault(a, a)
-        parent.setdefault(b, b)
-        link(a, b)
+        forest.union(*crack.grid.edge_nodes(e))
     groups = {}
     for e in edges:
-        a, _ = crack.grid.edge_nodes(e)
-        groups.setdefault(find(a), []).append(e)
+        groups.setdefault(forest.find(crack.grid.edge_nodes(e)[0]), []).append(e)
     return [CrackSet(crack.grid, gs) for _, gs in sorted(groups.items())]
 
 
@@ -418,30 +436,19 @@ class CutTopology:
                     entries.append((grid.cell_id(ci, cj), corner))
                 else:
                     entries.append(None)
-            # union-find over the up-to-4 fan positions
-            parent = list(range(4))
-
-            def find(a):
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
+            fan = _UnionFind()     # over the up-to-4 fan positions
             for k in range(4):
                 nk = (k + 1) % 4
                 if entries[k] is None or entries[nk] is None:
                     continue
                 ek, ei, ej = edges_off[k]
-                sep = (ek, i + ei, j + ej)
-                if sep not in cut:
-                    ra, rb = find(k), find(nk)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
+                if (ek, i + ei, j + ej) not in cut:
+                    fan.union(k, nk)
             roots = {}
             for k in range(4):
                 if entries[k] is None:
                     continue
-                r = find(k)
+                r = fan.find(k)
                 if r not in roots:
                     roots[r] = node if not roots else self.n_dofs + len(extra_nodes)
                     if roots[r] != node:
@@ -476,8 +483,9 @@ class CutTopology:
         differences u11 - u00 and u10 - u01, so a diagonal component (dofs
         joined by cell diagonals) shifts by a constant without changing any
         gradient.  A piece (the cells joined across uncut edges, with their
-        dofs) holds exactly two diagonal components, one per node parity,
-        since the two dofs of an uncut edge have different parities.
+        dofs; see _cell_pieces) holds exactly two diagonal components, one
+        per node parity, since the two dofs of an uncut edge have different
+        parities: a dof's diagonal component is 2 * piece + parity.
         Returned are every dof of a piece with no constrained dof, and the
         lowest dof of each other diagonal component with none.  A crack that
         closes no cycle leaves one piece, whose diagonal components are the
@@ -488,19 +496,14 @@ class CutTopology:
             has = np.zeros(2, dtype=bool)
             has[(i + j) % 2] = True
             return np.flatnonzero(~has) if has.any() else np.arange(self.n_dofs)
-        cd = self.cell_dofs
-        diagonals = coo_matrix((np.ones(2 * len(cd), dtype=np.int8),
-                                (np.concatenate([cd[:, 0], cd[:, 1]]),
-                                 np.concatenate([cd[:, 3], cd[:, 2]]))),
-                               shape=(self.n_dofs, self.n_dofs))
-        n, label = _cs_components(diagonals, directed=False)
-        has = np.zeros(n, dtype=bool)
+        _, _, n, piece = _cell_pieces(self.grid, self.crack.edges)
+        i, j = self.grid.node_ij(self.dof_node)
+        label = np.empty(self.n_dofs, dtype=np.intp)    # 2 * piece + parity
+        label[self.cell_dofs] = 2 * piece[:, None]
+        label += (i + j) % 2
+        has = np.zeros(2 * n, dtype=bool)
         has[label[constrained]] = True
-        # each cell's two diagonals are the two components of its piece
-        other = np.empty(n, dtype=label.dtype)
-        other[label[cd[:, 0]]] = label[cd[:, 1]]
-        other[label[cd[:, 1]]] = label[cd[:, 0]]
-        pin = ~has[other][label]
+        pin = ~has[label ^ 1]
         pin[np.unique(label, return_index=True)[1]] = True
         return np.flatnonzero(pin & ~has[label])
 
@@ -561,15 +564,7 @@ def _closes_a_cycle(grid: Grid, edges) -> bool:
     Only then can they cut a region of cells off from the others.
     """
     nx, ny = grid.nx, grid.ny
-    parent = {}     # union-find over nodes; None is the contracted boundary
-
-    def root(node):
-        while node in parent:
-            up = parent[node]
-            parent[node] = parent.get(up, up)      # path halving
-            node = up
-        return node
-
+    forest = _UnionFind()      # over node ids; -1 is the contracted boundary
     for kind, i, j in edges:
         if kind == "v" and 0 < i < nx:
             ends = ((i, j), (i, j + 1))
@@ -577,42 +572,22 @@ def _closes_a_cycle(grid: Grid, edges) -> bool:
             ends = ((i, j), (i + 1, j))
         else:
             continue    # an edge on the boundary parts no cells
-        ra, rb = (root(n if 0 < n[0] < nx and 0 < n[1] < ny else None) for n in ends)
-        if ra == rb:
+        a, b = (ni + nj * (nx + 1) if 0 < ni < nx and 0 < nj < ny else -1 for ni, nj in ends)
+        if not forest.union(a, b):
             return True
-        parent[ra] = rb
     return False
 
 
-def effective_crack(grid: Grid, crack: CrackSet) -> CrackSet:
-    """The part of a crack that the Dirichlet datum reaches.
-
-    A cell is reached when its cell component (cells joined across interior
-    edges not in the crack) has a corner on a Dirichlet node off the crack.
-    Kept are the edges with a reached flank cell and every edge with an
-    endpoint on a Dirichlet node.  Any other edge only separates cells that
-    solve() pins to 0, so dropping it merges floating cells and leaves the
-    reached cells' dofs and the constrained dofs as they were: the bulk
-    problem, its energy and its power are those of the crack.  Returns the
-    crack itself when nothing can be dropped.
-    """
-    if crack.grid is not grid and not _same_lattice(crack.grid, grid):
-        raise NonConformingCrack("crack was built on a different grid")
-    if not _closes_a_cycle(grid, crack.edges):
-        return crack
+def _cell_pieces(grid: Grid, edges):
+    """The pieces of the cut body: cells joined across interior edges not in
+    edges.  Returns (hcut, vcut, n, piece): the edges as masks, hcut[j, i]
+    for ("h", i, j) and vcut[j, i] for ("v", i, j), the number of pieces
+    and each cell's piece."""
     nx, ny = grid.nx, grid.ny
-    edges = list(crack.edges)
-    vert = np.fromiter((e[0] == "v" for e in edges), dtype=bool, count=len(edges))
-    i = np.fromiter((e[1] for e in edges), dtype=np.int32, count=len(edges))
-    j = np.fromiter((e[2] for e in edges), dtype=np.int32, count=len(edges))
-    a = i + j * (nx + 1)
-    b = a + np.where(vert, nx + 1, 1)
-
-    # cell components across the uncut interior edges
     hcut = np.zeros((ny + 1, nx), dtype=bool)
     vcut = np.zeros((ny, nx + 1), dtype=bool)
-    hcut[j[~vert], i[~vert]] = True
-    vcut[j[vert], i[vert]] = True
+    for kind, i, j in edges:
+        (vcut if kind == "v" else hcut)[j, i] = True
     cid = np.arange(grid.n_cells, dtype=np.int32).reshape(ny, nx)
     across_v = ~vcut[:, 1:nx]
     across_h = ~hcut[1:ny, :]
@@ -620,34 +595,45 @@ def effective_crack(grid: Grid, crack: CrackSet) -> CrackSet:
     cols = np.concatenate([cid[:, 1:][across_v], cid[1:, :][across_h]])
     adj = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
                      shape=(grid.n_cells, grid.n_cells))
-    n_comp, labels = _cs_components(adj, directed=False)
-    labels = labels.reshape(ny, nx)
+    n, piece = _cs_components(adj, directed=False)
+    return hcut, vcut, n, piece
 
-    # reached components: a corner on a Dirichlet node off the crack
-    dirichlet = np.zeros(grid.n_nodes, dtype=bool)
-    dirichlet[grid.dirichlet_nodes()] = True
-    on_crack = np.zeros(grid.n_nodes, dtype=bool)
-    on_crack[a] = True
-    on_crack[b] = True
-    ni, nj = grid.node_ij(np.flatnonzero(dirichlet & ~on_crack))
-    reached_comp = np.zeros(n_comp, dtype=bool)
-    for di in (-1, 0):
-        for dj in (-1, 0):
-            ci, cj = ni + di, nj + dj
-            ok = (ci >= 0) & (ci < nx) & (cj >= 0) & (cj < ny)
-            reached_comp[labels[cj[ok], ci[ok]]] = True
-    reached = reached_comp[labels]
+
+def effective_crack(grid: Grid, crack: CrackSet) -> CrackSet:
+    """The part of a crack that the Dirichlet datum reaches.
+
+    A cell is reached when its piece (see _cell_pieces) has a corner on a
+    Dirichlet node off the crack.  Kept are the edges with a reached flank
+    cell and every edge with an endpoint on a Dirichlet node.  Any other
+    edge only separates cells that solve() pins to 0, so dropping it merges
+    floating cells and leaves the reached cells' dofs and the constrained
+    dofs as they were: the bulk problem, its energy and its power are those
+    of the crack.  Returns the crack itself when nothing can be dropped.
+    """
+    if crack.grid is not grid and not _same_lattice(crack.grid, grid):
+        raise NonConformingCrack("crack was built on a different grid")
+    if not _closes_a_cycle(grid, crack.edges):
+        return crack
+    nx, ny = grid.nx, grid.ny
+    hcut, vcut, n, piece = _cell_pieces(grid, crack.edges)
+    dirichlet = np.zeros((ny + 1, nx + 1), dtype=bool)      # [j, i] per node
+    dirichlet.flat[grid.dirichlet_nodes()] = True
+    off_crack = dirichlet.copy()
+    off_crack.flat[crack.nodes()] = False
+    reached = np.zeros(n, dtype=bool)
+    reached[piece[grid.cells_around(np.flatnonzero(off_crack))]] = True
+    reached = np.pad(reached[piece].reshape(ny, nx), 1)     # [j + 1, i + 1] per cell
 
     # flank cells: below/above an "h" edge, left/right of a "v" edge
-    i0, j0 = np.where(vert, i - 1, i), np.where(vert, j, j - 1)
-    first = (i0 >= 0) & (j0 >= 0)
-    second = np.where(vert, i < nx, j < ny)
-    keep = dirichlet[a] | dirichlet[b]
-    keep[first] |= reached[j0[first], i0[first]]
-    keep[second] |= reached[j[second], i[second]]
-    if keep.all():
+    hkeep = hcut & (reached[:-1, 1:-1] | reached[1:, 1:-1] | dirichlet[:, :-1] | dirichlet[:, 1:])
+    vkeep = vcut & (reached[1:-1, :-1] | reached[1:-1, 1:] | dirichlet[:-1, :] | dirichlet[1:, :])
+    if np.count_nonzero(hkeep) + np.count_nonzero(vkeep) == len(crack):
         return crack
-    return CrackSet._checked(grid, frozenset(e for e, k in zip(edges, keep) if k))
+    hj, hi = np.nonzero(hkeep)
+    vj, vi = np.nonzero(vkeep)
+    return CrackSet._checked(grid, frozenset(
+        [("h", i, j) for i, j in zip(hi.tolist(), hj.tolist())]
+        + [("v", i, j) for i, j in zip(vi.tolist(), vj.tolist())]))
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +650,11 @@ class Disk:
     def metric(self, x, y):
         """1 on the member boundary, 2 on the doubled boundary."""
         return np.hypot(np.asarray(x) - self.cx, np.asarray(y) - self.cy) / self.r
+
+    def box(self, k):
+        """(x0, x1, y0, y1) of the bounding box scaled by k about the centre."""
+        s = k * self.r
+        return self.cx - s, self.cx + s, self.cy - s, self.cy + s
 
     @property
     def diameter(self):
@@ -698,6 +689,11 @@ class BoundaryRect:
             np.abs(np.asarray(y) - self.cy) / self.hy,
         )
 
+    def box(self, k):
+        """(x0, x1, y0, y1) of the member scaled by k about the centre."""
+        sx, sy = k * self.hx, k * self.hy
+        return self.cx - sx, self.cx + sx, self.cy - sy, self.cy + sy
+
     @property
     def diameter(self):
         return 2.0 * math.hypot(self.hx, self.hy)
@@ -725,62 +721,46 @@ class Cover:
 
 def _doubled_overlap(a, b):
     """Do the doubled regions of two members intersect?"""
-    def box(m):
-        if isinstance(m, Disk):
-            return m.cx - 2 * m.r, m.cx + 2 * m.r, m.cy - 2 * m.r, m.cy + 2 * m.r
-        return m.cx - 2 * m.hx, m.cx + 2 * m.hx, m.cy - 2 * m.hy, m.cy + 2 * m.hy
-
     if isinstance(a, Disk) and isinstance(b, Disk):
         return math.hypot(a.cx - b.cx, a.cy - b.cy) < 2 * a.r + 2 * b.r
-    ax0, ax1, ay0, ay1 = box(a)
-    bx0, bx1, by0, by1 = box(b)
     if isinstance(a, Disk) or isinstance(b, Disk):
         disk, rect = (a, b) if isinstance(a, Disk) else (b, a)
-        rx0, rx1, ry0, ry1 = box(rect)
+        rx0, rx1, ry0, ry1 = rect.box(2)
         px = min(max(disk.cx, rx0), rx1)
         py = min(max(disk.cy, ry0), ry1)
         return math.hypot(disk.cx - px, disk.cy - py) < 2 * disk.r
+    ax0, ax1, ay0, ay1 = a.box(2)
+    bx0, bx1, by0, by1 = b.box(2)
     return ax0 < bx1 and bx0 < ax1 and ay0 < by1 and by0 < ay1
 
 
-def _doubled_bbox(members):
-    xs0, xs1, ys0, ys1 = [], [], [], []
-    for m in members:
-        if isinstance(m, Disk):
-            xs0.append(m.cx - 2 * m.r)
-            xs1.append(m.cx + 2 * m.r)
-            ys0.append(m.cy - 2 * m.r)
-            ys1.append(m.cy + 2 * m.r)
-        else:
-            xs0.append(m.cx - 2 * m.hx)
-            xs1.append(m.cx + 2 * m.hx)
-            ys0.append(m.cy - 2 * m.hy)
-            ys1.append(m.cy + 2 * m.hy)
-    return min(xs0), max(xs1), min(ys0), max(ys1)
+def _hull(members, k):
+    """(x0, x1, y0, y1) of the bounding box of the members scaled by k."""
+    x0s, x1s, y0s, y1s = zip(*(m.box(k) for m in members))
+    return min(x0s), max(x1s), min(y0s), max(y1s)
 
 
 def _doubled_diameter(group):
     """Diameter of the union of the doubled members (pairwise formula)."""
-    best = 0.0
-    for a in group:
-        ra = 2 * a.r if isinstance(a, Disk) else 2 * math.hypot(a.hx, a.hy)
-        for b in group:
-            rb = 2 * b.r if isinstance(b, Disk) else 2 * math.hypot(b.hx, b.hy)
-            d = math.hypot(a.cx - b.cx, a.cy - b.cy) + ra + rb
-            best = max(best, d)
-    return best
+    return max(math.hypot(a.cx - b.cx, a.cy - b.cy) + a.diameter + b.diameter
+               for a in group for b in group)
 
 
-def cover_crack(crack: CrackSet, domain: Domain, m: int, margin_cells: float = 2.5) -> Cover:
+def cover_crack(crack: CrackSet, domain: Domain, m: int) -> Cover:
     """Cover the crack with at most m members whose doubled regions are disjoint.
 
-    Starts from one ball per connected component with radius H1 of the
-    component, then repeatedly merges members whose doubled regions overlap;
-    members whose doubled region leaves the domain become boundary rectangles.
-    Raises BudgetTooLarge when no admissible cover exists at the crack's scale
-    (threshold: member diameter <= 0.5 * min(width, height), so that a member
-    can never span the domain and boundary rectangles keep the required aspect),
-    and when the crack has more than m connected components.
+    Starts from one ball per connected component, of radius the largest of
+    the component's H1, its half-diagonal plus 2.5 cells, and 4 cells.
+    Each round turns the balls whose doubled region leaves the open domain
+    into boundary rectangles, then merges the members whose doubled regions
+    overlap, transitively: a group of balls becomes one ball centred on the
+    hull of their doubled boxes, of radius _doubled_diameter, and a group
+    with a rectangle, or whose ball would leave the domain, one boundary
+    rectangle holding their members.  Raises BudgetTooLarge when no
+    admissible cover exists at the crack's scale (threshold: member diameter
+    <= 0.5 * min(width, height), so that a member can never span the domain
+    and boundary rectangles keep the required aspect), and when the crack
+    has more than m connected components.
     """
     threshold = 0.5 * min(domain.width, domain.height)
     if crack.is_empty:
@@ -789,7 +769,6 @@ def cover_crack(crack: CrackSet, domain: Domain, m: int, margin_cells: float = 2
     if len(comps) > m:
         raise BudgetTooLarge(f"crack has {len(comps)} components, budget is m={m}")
     h = crack.grid.h
-    margin = margin_cells * h
 
     members = []
     for comp in comps:
@@ -798,32 +777,18 @@ def cover_crack(crack: CrackSet, domain: Domain, m: int, margin_cells: float = 2
         hi = pts.max(axis=0)
         c = 0.5 * (lo + hi)
         half_diag = 0.5 * math.hypot(*(hi - lo))
-        r = max(comp.h1(), half_diag + margin, 4 * h)
+        r = max(comp.h1(), half_diag + 2.5 * h, 4 * h)
         members.append(Disk(c[0], c[1], r))
 
-    def in_open_domain(mem):
-        if isinstance(mem, Disk):
-            return (
-                mem.cx - 2 * mem.r > domain.x0
-                and mem.cx + 2 * mem.r < domain.x1
-                and mem.cy - 2 * mem.r > domain.y0
-                and mem.cy + 2 * mem.r < domain.y1
-            )
-        return True
+    def in_open_domain(disk):
+        x0, x1, y0, y1 = disk.box(2)
+        return x0 > domain.x0 and x1 < domain.x1 and y0 > domain.y0 and y1 < domain.y1
 
     def to_boundary_rect(mem_group):
         # the rectangle's inner region must contain the inner regions of the
         # group (they carry the crack with its margin); the doubled rectangle
         # supplies the collar, mirroring the doubled ball.
-        x0s, x1s, y0s, y1s = [], [], [], []
-        for mm in mem_group:
-            rx = mm.r if isinstance(mm, Disk) else mm.hx
-            ry = mm.r if isinstance(mm, Disk) else mm.hy
-            x0s.append(mm.cx - rx)
-            x1s.append(mm.cx + rx)
-            y0s.append(mm.cy - ry)
-            y1s.append(mm.cy + ry)
-        x0, x1, y0, y1 = min(x0s), max(x1s), min(y0s), max(y1s)
+        x0, x1, y0, y1 = _hull(mem_group, 1)
         bx, by = domain.project_to_boundary(0.5 * (x0 + x1), 0.5 * (y0 + y1))
         hx = max(abs(x0 - bx), abs(x1 - bx))
         hy = max(abs(y0 - by), abs(y1 - by))
@@ -839,24 +804,14 @@ def cover_crack(crack: CrackSet, domain: Domain, m: int, margin_cells: float = 2
                 members[idx] = to_boundary_rect([mem])
                 changed = True
         # merge overlapping doubled regions
-        k = len(members)
-        parent = list(range(k))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for a in range(k):
-            for b in range(a + 1, k):
+        overlaps = _UnionFind()
+        for a in range(len(members)):
+            for b in range(a + 1, len(members)):
                 if _doubled_overlap(members[a], members[b]):
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
+                    overlaps.union(a, b)
         groups = {}
-        for idx in range(k):
-            groups.setdefault(find(idx), []).append(members[idx])
+        for idx, mem in enumerate(members):
+            groups.setdefault(overlaps.find(idx), []).append(mem)
         merged = []
         for _, group in sorted(groups.items()):
             if len(group) == 1:
@@ -866,13 +821,9 @@ def cover_crack(crack: CrackSet, domain: Domain, m: int, margin_cells: float = 2
             if any(isinstance(g, BoundaryRect) for g in group):
                 merged.append(to_boundary_rect(group))
             else:
-                x0, x1, y0, y1 = _doubled_bbox(group)
-                newr = _doubled_diameter(group)
-                disk = Disk(0.5 * (x0 + x1), 0.5 * (y0 + y1), newr)
-                if in_open_domain(disk):
-                    merged.append(disk)
-                else:
-                    merged.append(to_boundary_rect(group))
+                x0, x1, y0, y1 = _hull(group, 2)
+                disk = Disk(0.5 * (x0 + x1), 0.5 * (y0 + y1), _doubled_diameter(group))
+                merged.append(disk if in_open_domain(disk) else to_boundary_rect(group))
         members = merged
         for mem in members:
             if mem.diameter > threshold:

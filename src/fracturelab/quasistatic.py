@@ -174,19 +174,17 @@ class InitiationReport:
     meets_l_star: bool
 
 
-def initiation_report(traj: Trajectory, l_star_estimate: float = None,
-                      resolution: float = None) -> InitiationReport:
+def initiation_report(traj: Trajectory, resolution: float = None) -> InitiationReport:
     """Initiation time (last uncracked time), jump size and its class.
 
     ``resolution`` is the smallest representable crack length: 3 grid edges
     by default, or the shortest family member for families (like circles)
     whose members cannot be that short.  A first crack at most one resolution
     above zero is progressive; anything larger is a jump (brutal), with the
-    declared l* estimate (default 10 edges) reported against the jump.
+    l* estimate of 10 edges reported against the jump.
     """
     h = traj.grid_h
-    if l_star_estimate is None:
-        l_star_estimate = BRUTAL_EDGES * h
+    l_star_estimate = BRUTAL_EDGES * h
     if resolution is None:
         resolution = PROGRESSIVE_EDGES * h
     idx = traj.first_crack_index()

@@ -43,18 +43,12 @@ def write_csv(path, header, rows, grid_label="", seed=0):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_svg_line(path, xs, ys, title="", width=640, height=400, log_y=False):
-    """Single-polyline SVG plot with min/max tick labels."""
-    import math
-
-    xs = [float(v) for v in xs]
-    ys = [float(v) for v in ys]
-    if log_y:
-        ys = [math.log10(v) if v > 0 else float("nan") for v in ys]
-    pairs = [(x, y) for x, y in zip(xs, ys) if y == y]
+def write_svg_line(path, xs, ys, title=""):
+    """Single-polyline SVG plot, 640 x 400, with min/max tick labels."""
+    pairs = [(float(x), float(y)) for x, y in zip(xs, ys) if y == y]
     if not pairs:
         pairs = [(0.0, 0.0)]
-    pad = 50
+    width, height, pad = 640, 400, 50
     x0 = min(p[0] for p in pairs)
     x1 = max(p[0] for p in pairs)
     y0 = min(p[1] for p in pairs)
@@ -69,7 +63,6 @@ def write_svg_line(path, xs, ys, title="", width=640, height=400, log_y=False):
         return height - pad - (y - y0) / dy * (height - 2 * pad)
 
     pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pairs)
-    ylab = "log10" if log_y else "value"
     svg = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -79,7 +72,7 @@ def write_svg_line(path, xs, ys, title="", width=640, height=400, log_y=False):
         f'<text x="{pad}" y="{height-pad+16}" font-size="10">{x0:.4g}</text>',
         f'<text x="{width-pad}" y="{height-pad+16}" text-anchor="end" font-size="10">{x1:.4g}</text>',
         f'<text x="{pad-4}" y="{height-pad}" text-anchor="end" font-size="10">{y0:.4g}</text>',
-        f'<text x="{pad-4}" y="{pad}" text-anchor="end" font-size="10">{y1:.4g} ({ylab})</text>',
+        f'<text x="{pad-4}" y="{pad}" text-anchor="end" font-size="10">{y1:.4g} (value)</text>',
         f'<polyline points="{pts}" fill="none" stroke="#1f6feb" stroke-width="1.5"/>',
         "</svg>",
     ]

@@ -21,15 +21,15 @@ from .solver import ScalarField, _Uncracked, solve
 ARGMIN_RTOL = 1e-9
 
 
-def argmin_with_tolerance(values, rtol: float = ARGMIN_RTOL):
-    """Index of the first value within rtol of the minimum.
+def argmin_with_tolerance(values):
+    """Index of the first value within ARGMIN_RTOL of the minimum.
 
     The tolerance band makes the selection stable under exact energy
     rescalings (datum scaling) despite floating-point noise.
     """
     values = np.asarray(values, dtype=float)
     vmin = values.min()
-    band = vmin + rtol * (abs(vmin) + 1.0)
+    band = vmin + ARGMIN_RTOL * (abs(vmin) + 1.0)
     return int(np.nonzero(values <= band)[0][0])
 
 
@@ -152,23 +152,14 @@ class CrackFamily:
         return iter(self.members)
 
 
-def segments_family(grid: Grid, stride: int, lengths, orientations=("h", "v"),
-                    bbox=None) -> CrackFamily:
-    """Axis-aligned straight polylines anchored on a node sub-lattice.
-
-    lengths are edge counts; bbox (x0, y0, x1, y1) restricts anchors.
-    """
+def segments_family(grid: Grid, stride: int, lengths, orientations=("h", "v")) -> CrackFamily:
+    """Axis-aligned straight polylines anchored on a node sub-lattice;
+    lengths are edge counts."""
     members = []
-    dom = grid.domain
-    x0, y0, x1, y1 = bbox if bbox is not None else (dom.x0, dom.y0, dom.x1, dom.y1)
     for orient in orientations:
         for n in lengths:
             for j in range(0, grid.ny + 1, stride):
                 for i in range(0, grid.nx + 1, stride):
-                    px = dom.x0 + i * grid.h
-                    py = dom.y0 + j * grid.h
-                    if not (x0 <= px <= x1 and y0 <= py <= y1):
-                        continue
                     if orient == "h":
                         if i + n > grid.nx:
                             continue
@@ -213,23 +204,20 @@ def circles_family(grid: Grid, center, radii) -> CrackFamily:
     return CrackFamily("circles", tuple(members))
 
 
-def boundary_debond_family(grid: Grid, spans, sides=None, stride: int = None) -> CrackFamily:
+def boundary_debond_family(grid: Grid, spans) -> CrackFamily:
     """Contiguous runs of Dirichlet boundary edges (debonding competitors).
 
-    spans are run lengths in edges; runs are anchored every ``stride`` edges
-    (default: span length, i.e. non-overlapping tiles) plus the full side.
+    spans are run lengths in edges; each side with a Dirichlet part gets
+    the non-overlapping runs of each span, tiled from its start, plus the
+    full side.
     """
-    dom = grid.domain
-    if sides is None:
-        sides = sorted({seg.side for seg in dom.dirichlet_part})
     members = []
-    for side in sides:
+    for side in sorted({seg.side for seg in grid.domain.dirichlet_part}):
         all_edges = grid.boundary_edges(side)
         n = len(all_edges)
         for span in spans:
             span = min(span, n)
-            step = stride or span
-            for start in range(0, n - span + 1, step):
+            for start in range(0, n - span + 1, span):
                 members.append(CrackSet(grid, all_edges[start:start + span]))
         members.append(CrackSet(grid, all_edges))
     # dedupe, preserving enumeration order

@@ -38,13 +38,13 @@ def local_energy(field: ScalarField, x, r: float) -> float:
     return grid.h ** 2 * float(np.sum(np.linalg.norm(g, axis=1) ** p))
 
 
-def default_radii(field: ScalarField, x, levels: int = 6):
-    """Geometric ladder r_k = r_max 2^-k inside the resolvable window."""
+def default_radii(field: ScalarField, x):
+    """Geometric ladder r_k = r_max 2^-k, k < 6, inside the resolvable window."""
     grid = field.grid
     px, py = float(x[0]), float(x[1])
     size = min(grid.domain.width, grid.domain.height)
     r_max = min(grid.domain.distance_to_boundary(px, py), 0.25 * size)
-    radii = [r_max * 2.0 ** (-k) for k in range(levels)]
+    radii = [r_max * 2.0 ** (-k) for k in range(6)]
     return [r for r in radii if r > 2 * grid.h]
 
 
@@ -84,13 +84,13 @@ class SingularityReport:
         return [p.classification for p in self.probes]
 
 
-def classify(field: ScalarField, probes, radii=None,
-             margin: float = DEFAULT_MARGIN) -> SingularityReport:
-    """Classify each probe: weak (alpha >= 1+margin), strong (alpha <= 1-margin),
-    critical otherwise, with the small-coefficient delta reported."""
+def classify(field: ScalarField, probes, margin: float = DEFAULT_MARGIN) -> SingularityReport:
+    """Classify each probe over its default_radii ladder: weak (alpha >=
+    1+margin), strong (alpha <= 1-margin), critical otherwise, with the
+    small-coefficient delta reported."""
     out = []
     for pt in probes:
-        rs = default_radii(field, pt) if radii is None else list(radii)
+        rs = default_radii(field, pt)
         if len(rs) < 4:
             raise RadiusUnresolvable("probe ladder has fewer than 4 resolvable radii")
         alpha, C = fit_exponent(field, pt, rs)

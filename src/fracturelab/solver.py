@@ -205,8 +205,7 @@ def _element_values(metric_cells):
     return np.concatenate([(flat @ _SAME_BLOCKS).ravel(), (flat @ _CROSS_BLOCKS).ravel()])
 
 
-def pcg(A, b, tol=1e-10, maxiter=None, deflate=(), x0=None, nodes=None,
-        coarsening=None):
+def pcg(A, b, tol=1e-10, deflate=(), x0=None, nodes=None, coarsening=None):
     """Preconditioned conjugate gradients with optional deflation.
 
     The preconditioner is Jacobi, or the aggregation V-cycle built from A
@@ -219,12 +218,11 @@ def pcg(A, b, tol=1e-10, maxiter=None, deflate=(), x0=None, nodes=None,
     preconditioner.  deflate: orthonormal null vectors of A; b and the
     iterates are kept in their orthogonal complement.  Returns (x,
     iterations, relative residual).  Raises NoConvergence on breakdown (a
-    non-finite residual or p.Ap <= 0) and when maxiter (default
-    _iteration_cap(n)) iterations do not reach tol.
+    non-finite residual or p.Ap <= 0) and when _iteration_cap(n)
+    iterations do not reach tol.
     """
     n = A.shape[0]
-    if maxiter is None:
-        maxiter = _iteration_cap(n)
+    maxiter = _iteration_cap(n)
     Q = np.column_stack(deflate) if len(deflate) else None
 
     def project(v):
@@ -668,15 +666,6 @@ def _solve_quadratic(topology, metric_cells, u, free, tol, cycle, cells=None, lo
     return u, iters, res
 
 
-def _cells_around(grid: Grid, nodes):
-    """The ids of the cells (up to 4) that have a corner at each node."""
-    i, j = grid.node_ij(nodes)
-    ci = i[:, None] + np.array([-1, 0, -1, 0])
-    cj = j[:, None] + np.array([-1, -1, 0, 0])
-    ok = (ci >= 0) & (ci < grid.nx) & (cj >= 0) & (cj < grid.ny)
-    return grid.cell_id(ci[ok], cj[ok])
-
-
 class _Uncracked:
     """The quadratic problem of the uncut grid, kept for the crack candidates
     of one landscape: its node values, which nodes are fixed, the free block
@@ -746,14 +735,14 @@ class _Uncracked:
         # the cells the crack cuts hold a duplicate dof; their dofs change
         # rows, and so do the nodes they held before the cut and the dofs of
         # the cells around a node whose fixed status or value moved
-        around = _cells_around(grid, topology.dof_node[n_nodes:])
+        around = grid.cells_around(topology.dof_node[n_nodes:])
         cut = cd[around[(cd[around] >= n_nodes).any(axis=1)]]
         changed = np.zeros(topology.n_dofs, dtype=bool)
         changed[cut] = True
         changed[topology.dof_node[cut]] = True
-        changed[cd[_cells_around(grid, moved)]] = True
+        changed[cd[grid.cells_around(moved)]] = True
         cells = np.zeros(grid.n_cells, dtype=bool)
-        cells[_cells_around(grid, topology.dof_node[changed])] = True
+        cells[grid.cells_around(topology.dof_node[changed])] = True
         cells = np.flatnonzero(cells)
         fresh = np.flatnonzero(changed[free])
         K = assemble_metric(topology, metric_cells[cells], cells=cells)[free[fresh]]

@@ -1,4 +1,7 @@
+import configparser
 import importlib
+from pathlib import Path
+
 import pytest
 
 from fracturelab.cli import main
@@ -244,6 +247,9 @@ resolution = 8
 anchor = 0.5 0.40625
 orientation = v
 lengths = 3
+
+[classify]
+probes = 0.5 0.5
 """
 
 
@@ -309,6 +315,19 @@ def test_toughness_must_be_finite_and_positive(tmp_path, capsys, command, sectio
     ("solve", "integrand", "kind = meyers\nK = nan"),
     ("solve", "datum", "kind = meyers_trace\nK = 3\norientation = x"),
     ("poincare", "run", "seed = -1"),
+    ("classify", "classify", "margin = nan"),
+    ("classify", "classify", "margin = -0.1"),
+    ("classify", "classify", "probes = a b"),
+    ("classify", "classify", "probes = 0.5 0.5 ; 0.4 nan"),
+    ("release-curve", "release_curve", "l_max = nan"),
+    ("release-curve", "release_curve", "l_max = inf"),
+    ("release-curve", "release_curve", "l_max = 0"),
+    ("release-curve", "release_curve", "l_max = 5e-324"),
+    ("release-curve", "release_curve", "budgets = 0.1 nan"),
+    ("release-curve", "release_curve", "budgets = -0.1 -0.2"),
+    ("release-curve", "family", "orientations = x"),
+    ("dual-bound", "dual_bound", "orientation = x"),
+    ("release-curve", "family", "kind = circles\ncenter = 0.5 0.5\nradii = -1"),
 ])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, command, section, line):
     # each of these ended in a traceback (exit 1), ran on (exit 0) or failed
@@ -333,3 +352,64 @@ def test_budget_ladder_must_be_non_empty_and_decreasing(tmp_path, capsys, budget
     assert main(["release-curve", "--config", cfg]) == 2
     assert "[release_curve.budgets]" in capsys.readouterr().err
     assert not (tmp_path / "out" / "curve.csv").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "n = 32\n",
+    "[grid]\nn = 32\nn = 64\n",
+    BASE.replace("seed = 0", "seed = 0%"),
+], ids=["no-section-header", "option-given-twice", "stray-percent"])
+def test_malformed_ini_is_config_error(tmp_path, capsys, text):
+    # each ended in a configparser traceback (exit 1)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+EXPERIMENTS = ("release_curve", "evolve", "dual_bound", "meyers_verify", "poincare", "classify")
+# the shipped configs at 16^2 and a few steps, so that each run takes milliseconds
+SHRINK = {("grid", "n"): "16", ("meyers_verify", "n"): "16", ("poincare", "resolution"): "8",
+          ("poincare", "samples"): "1", ("evolve", "steps"): "4", ("family", "stride"): "4"}
+CLASSIFY = BASE.replace("out = {out}", "") + """
+[classify]
+probes = 0.5 0.5 ; 0.25 0.75
+margin = 0.1
+"""
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.ini")) + ["classify"])
+def test_every_option_set_to_nan_zero_minus_one_or_x_fails_cleanly(tmp_path, capsys, name):
+    """Each option of a config set in turn to nan, 0, -1 and x either runs or
+    fails with an error class and its exit code: no traceback, no exit 1.
+    [run] out is not swept, since --out overrides it."""
+    ini = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    if name == "classify":
+        ini.read_string(CLASSIFY)
+    else:
+        ini.read(CONFIGS / f"{name}.ini")
+    for (section, option), value in SHRINK.items():
+        if ini.has_option(section, option):
+            ini.set(section, option, value)
+    command = next(s for s in EXPERIMENTS if ini.has_section(s)).replace("_", "-")
+    cfg = tmp_path / "mutant.ini"
+    failures = []
+    for section in ini.sections():
+        for option in ini.options(section):
+            if (section, option) == ("run", "out"):
+                continue
+            value = ini.get(section, option)
+            for bad in ("nan", "0", "-1", "x"):
+                ini.set(section, option, bad)
+                with open(cfg, "w") as f:
+                    ini.write(f)
+                try:
+                    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+                except Exception as exc:
+                    rc = repr(exc)
+                if rc not in (0, 2, 3, 4, 5, 6, 7, 8):
+                    failures.append(f"[{section}] {option} = {bad}: {rc}")
+            ini.set(section, option, value)
+    capsys.readouterr()
+    assert not failures

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components as cs_components
 
 from fracturelab.errors import BudgetTooLarge, NonConformingCrack
 from fracturelab import geometry
@@ -319,6 +321,39 @@ def test_parity_pins_of_cracks_without_cycles_match_the_labelling(monkeypatch):
     monkeypatch.setattr(geometry, "_closes_a_cycle", lambda grid, edges: True)
     for topo, constrained, pins in cases:
         assert np.array_equal(topo.floating_dofs(constrained), pins)
+
+
+def diagonal_pins(topo, constrained):
+    """floating_dofs from a graph of the cells' diagonals of its own: the
+    labelling that the pieces replace, kept as the reference."""
+    cd = topo.cell_dofs
+    diagonals = coo_matrix((np.ones(2 * len(cd)), (np.concatenate([cd[:, 0], cd[:, 1]]),
+                                                   np.concatenate([cd[:, 3], cd[:, 2]]))),
+                           shape=(topo.n_dofs, topo.n_dofs))
+    n, label = cs_components(diagonals, directed=False)
+    has = np.zeros(n, dtype=bool)
+    has[label[constrained]] = True
+    # each cell's two diagonals are the two components of its piece
+    other = np.empty(n, dtype=label.dtype)
+    other[label[cd[:, 0]]] = label[cd[:, 1]]
+    other[label[cd[:, 1]]] = label[cd[:, 0]]
+    pin = ~has[other][label]
+    pin[np.unique(label, return_index=True)[1]] = True
+    return np.flatnonzero(pin & ~has[label])
+
+
+def test_floating_dofs_match_a_labelling_of_the_cells_diagonals():
+    rng = np.random.default_rng(8)
+    cycles = 0
+    for dirichlet in [("left", "right"), "all", ("left",), ("bottom", "right"), ("top",)]:
+        grid = Grid(Domain.unit_square(dirichlet=dirichlet), 12)
+        for _ in range(40):
+            crack = random_union(grid, rng)
+            cycles += geometry._closes_a_cycle(grid, crack.edges)
+            topo = cut_grid(grid, crack)
+            constrained = topo.constrained_dofs()
+            assert np.array_equal(topo.floating_dofs(constrained), diagonal_pins(topo, constrained))
+    assert cycles > 50
 
 
 def test_effective_crack_checks_the_lattice():
