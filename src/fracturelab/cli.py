@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import report
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, check_cells, load_config
 from .dual import release_bound
 from .energy import RADIAL_SOFT, RADIAL_STIFF, meyers_integrand
 from .errors import (
@@ -64,6 +64,15 @@ def _grid_label(grid: Grid):
     return f"{grid.nx}x{grid.ny}"
 
 
+def _crack_file(cfg: ExperimentConfig, section, grid: Grid):
+    """The crack of [section] crack_file, or None when none is given."""
+    path = cfg.get(section, "crack_file", None)
+    try:
+        return read_crack_file(path, grid) if path else None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read the crack file: {exc}", section, "crack_file") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -73,8 +82,7 @@ def cmd_solve(cfg: ExperimentConfig, out, seed):
     grid = cfg.build_grid()
     integrand = cfg.build_integrand()
     psi = cfg.build_datum()
-    crack_path = cfg.get("run", "crack_file", None)
-    crack = read_crack_file(crack_path, grid) if crack_path else CrackSet(grid)
+    crack = _crack_file(cfg, "run", grid) or CrackSet(grid)
     field, rep = solve(grid, integrand, psi, crack, tol=cfg.tol())
     sf = stress(field)
     k = cfg.toughness()
@@ -108,10 +116,10 @@ def cmd_dual_bound(cfg: ExperimentConfig, out, seed):
     psi = cfg.build_datum()
     m = cfg.get_count("dual_bound", "m", 1)
     tol = cfg.tol()
-    crack_path = cfg.get("dual_bound", "crack_file", None)
+    crack = _crack_file(cfg, "dual_bound", grid)
     cracks = []
-    if crack_path:
-        cracks.append(read_crack_file(crack_path, grid))
+    if crack is not None:
+        cracks.append(crack)
     else:
         anchor = cfg.get_point("dual_bound", "anchor")
         lengths = cfg.get_counts("dual_bound", "lengths", required=True)
@@ -199,8 +207,7 @@ def cmd_classify(cfg: ExperimentConfig, out, seed):
                               "classify", "probes")
         probes.append(xy)
     margin = cfg.get_bounded("classify", "margin", 0.1, closed=True)
-    crack_path = cfg.get("classify", "crack_file", None)
-    crack = read_crack_file(crack_path, grid) if crack_path else None
+    crack = _crack_file(cfg, "classify", grid)
     field, _ = solve(grid, integrand, psi, crack, tol=cfg.tol())
     rep = classify(field, probes, margin=margin)
     rows = [(p.x, p.y, p.alpha, p.C, p.classification, p.delta) for p in rep.probes]
@@ -231,7 +238,7 @@ def cmd_evolve(cfg: ExperimentConfig, out, seed):
                           title="crack length vs time")
     resolution = max(3 * grid.h, min(c.h1() for c in family.members))
     ini = initiation_report(traj, resolution=resolution)
-    hor = load_horizon(grid, integrand, psi, k, tol=cfg.tol())
+    hor = load_horizon(landscape, k)
     print(f"evolve: initiation={ini.classification} t_i={ini.t_i:.6g} "
           f"jump={ini.jump:.6g} T_debond={hor.t_weighted:.6g}")
 
@@ -246,6 +253,8 @@ def cmd_poincare(cfg: ExperimentConfig, out, seed):
     M = cfg.get_bounded("poincare", "M", low=1.0, closed=True)
     samples = cfg.get_count("poincare", "samples", 1)
     resolution = cfg.get_count("poincare", "resolution", 48)
+    check_cells(resolution * M, "poincare", "resolution")     # keeps ceil finite
+    check_cells(resolution * math.ceil(resolution * M), "poincare", "resolution")  # a mesh
     sweep = uniformity_sweep(L, M, samples, case, nx=resolution, seed=seed)
     rows = [(case, L, M, idx, c, resolution) for idx, c in enumerate(sweep.constants)]
     report.write_csv(os.path.join(out, "poincare.csv"),
@@ -268,6 +277,7 @@ def cmd_meyers_verify(cfg: ExperimentConfig, out, seed):
     n = cfg.get_int("meyers_verify", "n", 128)
     if n < 2:
         raise ConfigError(f"must be >= 2, got {n}", "meyers_verify", "n")
+    check_cells(n * n, "meyers_verify", "n")
     domain = Domain.unit_square(dirichlet="all", centered=True)
     grid = Grid(domain, n)
     rows = []

@@ -33,6 +33,13 @@ from .singularity import meyers_profile
 DATUM_KINDS = ("constant", "linear_x", "linear_y", "affine", "meyers_trace")
 INTEGRAND_KINDS = ("ppower", "quadratic", "meyers", "laplace")
 FAMILY_KINDS = ("segments", "circles", "boundary_debond")
+MAX_CELLS = 2 ** 20     # the largest grid or mesh a config may ask for
+
+
+def check_cells(cells, section, option):
+    """ConfigError naming [section] option unless cells (inf and nan too) <= MAX_CELLS."""
+    if not cells <= MAX_CELLS:
+        raise ConfigError("the grid would have more than 2^20 cells", section, option)
 
 
 @dataclass
@@ -134,6 +141,11 @@ class ExperimentConfig:
         domain = self.build_domain()
         n = self.get_int("grid", "n", required=True)
         ny = self.get_int("grid", "ny", None)
+        check_cells(n, "grid", "n")     # so that n times the aspect is a float
+        rows = ny if ny is not None else n * domain.height / domain.width
+        if ny is None and math.isfinite(rows):
+            rows = round(rows)          # the ny that Grid takes from the aspect
+        check_cells(n * rows, "grid", "n" if ny is None else "ny")
         try:
             return Grid(domain, n, ny)
         except ValueError as exc:

@@ -881,12 +881,15 @@ def read_crack_file(path, grid: Grid) -> CrackSet:
             parts = raw.split()
             if len(parts) != 4:
                 raise NonConformingCrack(f"{path}:{ln}: expected 'x0 y0 x1 y1'")
-            x0, y0, x1, y1 = map(float, parts)
-            fi0 = (x0 - grid.domain.x0) / grid.h
-            fj0 = (y0 - grid.domain.y0) / grid.h
-            fi1 = (x1 - grid.domain.x0) / grid.h
-            fj1 = (y1 - grid.domain.y0) / grid.h
-            i0, j0, i1, j1 = (round(v) for v in (fi0, fj0, fi1, fj1))
+            try:
+                x0, y0, x1, y1 = map(float, parts)
+                fi0 = (x0 - grid.domain.x0) / grid.h
+                fj0 = (y0 - grid.domain.y0) / grid.h
+                fi1 = (x1 - grid.domain.x0) / grid.h
+                fj1 = (y1 - grid.domain.y0) / grid.h
+                i0, j0, i1, j1 = (round(v) for v in (fi0, fj0, fi1, fj1))
+            except (ValueError, OverflowError):     # not a number, nan or inf
+                raise NonConformingCrack(f"{path}:{ln}: coordinates must be finite") from None
             snap = max(
                 abs(fi0 - i0), abs(fj0 - j0), abs(fi1 - i1), abs(fj1 - j1)
             ) * grid.h

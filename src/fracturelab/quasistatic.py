@@ -16,9 +16,9 @@ import numpy as np
 
 from .energy import PPOWER, QUADRATIC
 from .errors import InsufficientData
-from .geometry import CrackSet, Grid, cut_grid
-from .search import CrackFamily, EnergyLandscape, argmin_with_tolerance, lift
-from .solver import solve
+from .geometry import CrackSet
+from .search import CrackFamily, EnergyLandscape, argmin_with_tolerance
+from .solver import datum_scale
 
 ZERO_SPEED_MARGIN = 0.5
 PROGRESSIVE_EDGES = 3
@@ -31,11 +31,8 @@ class Trajectory:
 
     bulk/surface/total are at the loaded datum t * psi; work is the
     trapezoidal accumulation of the external power; balance_residual is
-    |E(t) - E(0) - work(t)| per step.  Displacements are stored once per
-    distinct crack at unit datum and scaled on access (u(t) = t * v).
-    unit_values maps each chosen crack's edge set to its unit-datum dof
-    values on cut_grid(grid, crack); a crack solved through its effective
-    crack (see search.EnergyLandscape) gets that solve's values lifted.
+    |E(t) - E(0) - work(t)| per step.  No field is stored: displacement()
+    re-solves a step's crack at unit datum on the landscape it evolved on.
     """
 
     t: np.ndarray
@@ -50,17 +47,17 @@ class Trajectory:
     k: float
     bulk_unit_empty: float
     grid_h: float
-    unit_values: dict = None  # crack edge-set -> unit-datum dof values
 
     def first_crack_index(self):
         idx = np.nonzero(self.h1 > 0)[0]
         return int(idx[0]) if len(idx) else None
 
-    def displacement(self, j):
-        """Nodal displacement at step j (t_j times the unit-datum solve)."""
-        if self.unit_values is None:
-            raise ValueError("trajectory was built without stored fields")
-        return self.t[j] * self.unit_values[self.cracks[j].edges]
+    def displacement(self, j, landscape: EnergyLandscape):
+        """Nodal displacement at step j: t_j times the unit-datum solve of
+        cracks[j] on landscape, which must be the one evolve ran on."""
+        if landscape.bulk() != self.bulk_unit_empty:
+            raise ValueError("landscape is not the one this trajectory evolved on")
+        return self.t[j] * landscape.solve_field(self.cracks[j]).values
 
 
 def evolve(landscape: EnergyLandscape, family: CrackFamily, k: float,
@@ -68,9 +65,10 @@ def evolve(landscape: EnergyLandscape, family: CrackFamily, k: float,
     """Greedy incremental evolution on a uniform time grid of ``steps`` steps.
 
     Needs a p-homogeneous integrand (both shipped kinds are); the candidate
-    set at each step is {previous} + {previous union member}.  workers is
-    accepted and ignored: candidates are solved serially, and callers that
-    pass a worker count positionally keep working.
+    set at each step is {previous} + {previous union member}, rebuilt with its
+    unit-datum energies only when the crack changes; of each solved crack only
+    its external power at unit datum is kept.  workers is accepted and ignored:
+    candidates are solved serially, and callers that pass it keep working.
     """
     integrand = landscape.integrand
     if integrand.kind not in (PPOWER, QUADRATIC):
@@ -83,11 +81,7 @@ def evolve(landscape: EnergyLandscape, family: CrackFamily, k: float,
     v_grad = v_field.gradients()
     xc, yc = grid.cell_centers()
     h2 = grid.h ** 2
-    # wdot_unit and step_values are keyed by effective edges, with
-    # step_values on the effective crack's cut grid
-    wdot_unit = {}      # external power at unit datum
-    unit_values = {}    # chosen crack edge-set -> unit-datum dof values
-    step_values = {}    # the current step's candidates -> unit-datum dof values
+    wdot_unit = {}      # effective edges -> external power at unit datum
 
     # pairing the stress with the uncracked unit field equals pairing with any
     # lift of the datum, because their difference is an admissible variation.
@@ -95,11 +89,9 @@ def evolve(landscape: EnergyLandscape, family: CrackFamily, k: float,
     def record(crack: CrackSet, fld):
         sig = integrand.grad_f(xc, yc, fld.gradients())
         wdot_unit[crack.edges] = h2 * float(np.einsum("ci,ci->", sig, v_grad))
-        step_values[crack.edges] = fld.values
 
     crack = landscape.empty_crack
     record(crack, v_field)
-    unit_values[crack.edges] = v_field.values
     times = np.linspace(0.0, horizon, steps + 1)
     cracks = [crack]
     h1s = [0.0]
@@ -108,35 +100,25 @@ def evolve(landscape: EnergyLandscape, family: CrackFamily, k: float,
     power_prev = 0.0
     for j in range(1, len(times)):
         t = times[j]
-        cands = [crack]
-        seen = {crack.edges}
-        for member in family.members:
-            u = crack.union(member)
-            if u.edges not in seen:
-                seen.add(u.edges)
-                cands.append(u)
-        # a candidate stays one at every later step for as long as it contains
-        # the chosen crack, so carrying the values of the candidates' classes
-        # forward from step to step covers every later pick
-        effs = [landscape.effective(c).edges for c in cands]
-        kept = {e: step_values[e] for e in effs if e in step_values}
-        step_values.clear()
-        step_values.update(kept)
-        unit_bulks = landscape.bulk_many(cands, on_field=record)
-        totals = [t ** p * b + k * c.h1() for b, c in zip(unit_bulks, cands)]
+        if j == 1 or pick:      # the crack changed: build its candidates
+            cands = [crack]
+            seen = {crack.edges}
+            for member in family.members:
+                u = crack.union(member)
+                if u.edges not in seen:
+                    seen.add(u.edges)
+                    cands.append(u)
+            unit_bulks = landscape.bulk_many(cands, on_field=record)
+            lengths = [c.h1() for c in cands]
+        totals = [t ** p * b + k * l for b, l in zip(unit_bulks, lengths)]
         pick = argmin_with_tolerance(totals)
         crack = cands[pick]
         eff = landscape.effective(crack)
-        if crack.edges not in unit_values:
-            if eff.edges not in step_values:
-                # energy cached before evolve began
-                record(eff, landscape.solve_field(eff))
-            values = step_values[eff.edges]
-            if len(eff) != len(crack):
-                values = lift(values, cut_grid(grid, eff), cut_grid(grid, crack))
-            unit_values[crack.edges] = values
+        if eff.edges not in wdot_unit:
+            # energy cached before evolve began
+            record(eff, landscape.solve_field(eff))
         cracks.append(crack)
-        h1s.append(crack.h1())
+        h1s.append(lengths[pick])
         bulks.append(t ** p * unit_bulks[pick])
         power = t ** (p - 1.0) * wdot_unit[eff.edges]
         works.append(works[-1] + 0.5 * (times[j] - times[j - 1]) * (power_prev + power))
@@ -150,7 +132,7 @@ def evolve(landscape: EnergyLandscape, family: CrackFamily, k: float,
     work = np.asarray(works)
     residual = np.abs(total - total[0] - work)
     return Trajectory(t, h1, bulk, surface, total, work, residual, cracks, p, k,
-                      landscape.bulk(), grid.h, unit_values)
+                      landscape.bulk(), grid.h)
 
 
 def energy_balance_residual(traj: Trajectory):
@@ -238,16 +220,17 @@ class LoadHorizon:
     bulk_unit: float
 
 
-def load_horizon(grid: Grid, integrand, psi, k: float, tol: float = 1e-10) -> LoadHorizon:
-    fld, _ = solve(grid, integrand, psi, tol=tol)
-    from .solver import bulk_energy, datum_scale
-    bulk_v = bulk_energy(fld)
+def load_horizon(landscape: EnergyLandscape, k: float) -> LoadHorizon:
+    """Debonding threshold of landscape's problem, from its uncracked energy
+    (landscape.bulk(), solved once per landscape)."""
+    grid = landscape.grid
+    bulk_v = landscape.bulk()
     h1_d = grid.domain.dirichlet_length()
+    p = landscape.integrand.p
     # solver noise leaves ~ (tol * scale)^p of spurious energy on flat data
-    floor = 1e-16 * max(datum_scale(psi, grid), 1.0) ** integrand.p
+    floor = 1e-16 * max(datum_scale(landscape.psi, grid), 1.0) ** p
     if bulk_v <= floor:
         return LoadHorizon(math.inf, math.inf, h1_d, bulk_v)
-    p = integrand.p
     return LoadHorizon(
         (k * h1_d / bulk_v) ** (1.0 / p),
         (h1_d / bulk_v) ** (1.0 / p),

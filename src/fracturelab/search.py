@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyFamily, InvalidProbe
-from .geometry import CrackSet, CutTopology, Grid, cut_grid, effective_crack
+from .geometry import CrackSet, Grid, cut_grid, effective_crack
 from .solver import ScalarField, _Uncracked, solve
 
 ARGMIN_RTOL = 1e-9
@@ -36,18 +36,6 @@ def argmin_with_tolerance(values):
 # ---------------------------------------------------------------------------
 # the solve cache
 # ---------------------------------------------------------------------------
-
-
-def lift(values, source: CutTopology, target: CutTopology):
-    """Dof values on source moved onto target cell corner by cell corner.
-
-    For a crack and its effective crack the reached cells address the same
-    dof partition in both topologies and every other dof is pinned to 0, so
-    the lifted values give every cell the same gradient, bit for bit.
-    """
-    out = np.zeros(target.n_dofs)
-    out[target.cell_dofs] = values[source.cell_dofs]
-    return out
 
 
 class EnergyLandscape:
@@ -91,7 +79,8 @@ class EnergyLandscape:
         """Solve for one crack; its bulk energy is cached as a by-product.
 
         The effective crack is solved; a crack that differs from it gets the
-        field lifted onto its own cut grid, with that grid's fixed dofs.
+        field lifted onto its own cut grid, cell corner by cell corner, which
+        keeps every cell's gradient bit for bit, with that grid's fixed dofs.
         Quadratic-form candidates run CG on the aggregation cycle, from the
         uncracked problem once it is kept: landscape callers read energies
         and power pairings, not the CG residual's smooth part that a direct
@@ -105,10 +94,11 @@ class EnergyLandscape:
         if len(eff) == len(crack):
             return fld
         top = cut_grid(self.grid, crack)
+        values = np.zeros(top.n_dofs)
+        values[top.cell_dofs] = fld.values[fld.topology.cell_dofs]
         constrained = top.constrained_dofs()
         fixed = np.union1d(constrained, top.floating_dofs(constrained))
-        return ScalarField(top, fld.integrand, lift(fld.values, fld.topology, top),
-                           fld.psi, constrained, fixed)
+        return ScalarField(top, fld.integrand, values, fld.psi, constrained, fixed)
 
     def bulk(self, crack: CrackSet = None) -> float:
         eff = self.effective(crack)

@@ -53,14 +53,19 @@ def fit_exponent(field: ScalarField, x, radii):
 
     Returns (alpha, C) with local_energy ~ C r^alpha.
     """
+    return _fit_ladder(field, x, radii)[2:]
+
+
+def _fit_ladder(field: ScalarField, x, radii):
+    """(radii largest first, their local energies, alpha, C) of fit_exponent."""
     radii = sorted(radii, reverse=True)
     if len(radii) < 4:
         raise RadiusUnresolvable(f"need >= 4 resolvable radii, got {len(radii)}")
-    energies = np.array([local_energy(field, x, r) for r in radii])
-    if np.any(energies <= 0.0):
+    energies = [local_energy(field, x, r) for r in radii]
+    if any(e <= 0.0 for e in energies):
         raise DegenerateFit("some local energies vanish; nothing to fit")
     slope, intercept = np.polyfit(np.log(radii), np.log(energies), 1)
-    return float(slope), float(math.exp(intercept))
+    return radii, energies, float(slope), float(math.exp(intercept))
 
 
 @dataclass
@@ -90,20 +95,16 @@ def classify(field: ScalarField, probes, margin: float = DEFAULT_MARGIN) -> Sing
     small-coefficient delta reported."""
     out = []
     for pt in probes:
-        rs = default_radii(field, pt)
-        if len(rs) < 4:
-            raise RadiusUnresolvable("probe ladder has fewer than 4 resolvable radii")
-        alpha, C = fit_exponent(field, pt, rs)
-        energies = [local_energy(field, pt, r) for r in sorted(rs, reverse=True)]
-        delta = max(e / r for e, r in zip(energies, sorted(rs, reverse=True)))
+        radii, energies, alpha, C = _fit_ladder(field, pt, default_radii(field, pt))
+        delta = max(e / r for e, r in zip(energies, radii))
         if alpha >= 1.0 + margin:
             cls = WEAK
         elif alpha <= 1.0 - margin:
             cls = STRONG
         else:
             cls = CRITICAL
-        out.append(ProbeReport(float(pt[0]), float(pt[1]), sorted(rs, reverse=True),
-                               energies, alpha, C, cls, delta))
+        out.append(ProbeReport(float(pt[0]), float(pt[1]), radii, energies, alpha, C,
+                               cls, delta))
     return SingularityReport(out, margin)
 
 

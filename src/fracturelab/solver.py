@@ -99,12 +99,11 @@ def scatter_weak_divergence(topology: CutTopology, cell_field, cells=None):
     """Per-dof residual r_a = sum_c h^2 w_c . grad(phi_a)|_c for a cell field w.
 
     This is the discrete pairing <w, grad phi_a>; it vanishes at free dofs
-    when w is an equilibrated stress.
+    when w is an equilibrated stress.  Given cells, w has one row per cell
+    listed.
     """
     cd = topology.cell_dofs if cells is None else topology.cell_dofs[cells]
     w = np.asarray(cell_field)
-    if cells is not None and w.shape[0] != len(cells):
-        w = w[cells]
     r = np.zeros(topology.n_dofs)
     half_h = 0.5 * topology.grid.h  # h^2 / (2h)
     for k in range(4):

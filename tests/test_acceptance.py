@@ -344,7 +344,7 @@ def test_criterion_06_energy_balance(weak_run, meyers_run, elastic_p15_runs):
 
 def test_criterion_07_load_horizon(weak_run):
     land, _, traj = weak_run
-    hor = load_horizon(land.grid, land.integrand, land.psi, k=1.0)
+    hor = load_horizon(land, k=1.0)
     formula_ok = abs(hor.t_weighted - math.sqrt(2.0)) <= 1e-9
     first = traj.first_crack_index()
     dt = traj.t[1] - traj.t[0]

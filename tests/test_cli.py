@@ -165,6 +165,35 @@ def test_crack_file_error_exit_3(tmp_path, capsys):
     assert rc == 3
 
 
+CRACK_FILE_SECTIONS = [("solve", "run"), ("dual-bound", "dual_bound"), ("classify", "classify")]
+
+
+@pytest.mark.parametrize("command, section", CRACK_FILE_SECTIONS)
+@pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+def test_unreadable_crack_file_is_config_error(tmp_path, capsys, command, section, kind):
+    # a missing file ended in a FileNotFoundError traceback (exit 1)
+    path = tmp_path / "crack.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "binary":
+        path.write_bytes(b"\xff\xfe\x00 0 0 1\n")
+    cfg = cfg_with(tmp_path, section, f"crack_file = {path}")
+    assert main([command, "--config", cfg]) == 2
+    assert f"[{section}.crack_file]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section", CRACK_FILE_SECTIONS)
+@pytest.mark.parametrize("coord", ["x", "nan", "inf", "-inf"])
+def test_crack_file_coordinate_must_be_a_finite_number(tmp_path, capsys, command, section,
+                                                       coord):
+    # x and nan ended in a ValueError traceback, inf in an OverflowError (exit 1)
+    path = tmp_path / "crack.txt"
+    path.write_text(f"# a slit\n0.5 0.25 0.5 0.28125\n0.5 0.28125 {coord} 0.3125\n")
+    cfg = cfg_with(tmp_path, section, f"crack_file = {path}")
+    assert main([command, "--config", cfg]) == 3
+    assert f"{path}:3: coordinates must be finite" in capsys.readouterr().err
+
+
 def test_crack_with_more_components_than_m_is_budget_error_exit_3(tmp_path, capsys):
     # cover_crack raised a ValueError here, which ended in a traceback (exit 1)
     two = tmp_path / "two.txt"
@@ -335,6 +364,45 @@ def test_out_of_range_value_is_config_error(tmp_path, capsys, command, section, 
     cfg = cfg_with(tmp_path, section, line)
     assert main([command, "--config", cfg]) == 2
     assert f"[{section}.{line.splitlines()[-1].split()[0]}]" in capsys.readouterr().err
+
+
+class Reached(Exception):
+    """Raised by a grid or mesh constructor that a capped config must not reach."""
+
+
+def refuse(*args, **kwargs):
+    raise Reached
+
+
+# 2^20 cells is the cap: 1024^2 and 2048 x 512 are at it, 724 x 1448 under it, and
+# each case is one step over
+@pytest.mark.parametrize("command, line, named", [
+    ("solve", "[grid]\nn = 1025", "[grid.n]"),
+    ("solve", "[grid]\nn = 1024\nny = 1025", "[grid.ny]"),
+    ("solve", "[domain]\nrect = 0 0 4 1\n[grid]\nn = 2049", "[grid.n]"),
+    ("meyers-verify", "[meyers_verify]\nn = 1025", "[meyers_verify.n]"),
+    ("poincare", "[poincare]\nresolution = 725", "[poincare.resolution]"),
+])
+def test_grid_above_two_to_the_twenty_cells_is_config_error(tmp_path, capsys, monkeypatch,
+                                                            command, line, named):
+    # checked before any grid or mesh is built: these constructors refuse
+    monkeypatch.setattr("fracturelab.config.Grid", refuse)
+    monkeypatch.setattr("fracturelab.cli.Grid", refuse)
+    monkeypatch.setattr("fracturelab.poincare.GraphDomain.build", refuse)
+    cfg = tmp_path / "big.ini"
+    ini = configparser.ConfigParser()
+    ini.read_string(BASE.format(out=tmp_path / "out") + SMALL_RUNS)
+    ini.read_string(line)
+    with open(cfg, "w") as f:
+        ini.write(f)
+    assert main([command, "--config", str(cfg)]) == 2
+    assert named in capsys.readouterr().err
+    # at the cap, each run reaches its constructor
+    ini.read_string(line.replace("1025", "1024").replace("2049", "2048").replace("725", "724"))
+    with open(cfg, "w") as f:
+        ini.write(f)
+    with pytest.raises(Reached):
+        main([command, "--config", str(cfg)])
 
 
 @pytest.mark.parametrize("flag, line", [(["--workers", "0"], ""),

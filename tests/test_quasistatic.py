@@ -48,7 +48,7 @@ def test_huge_toughness_stays_elastic():
     # exact p=2 scaling of the bulk and of the stored displacements
     assert np.allclose(traj.bulk, traj.t ** 2 * land.bulk(), rtol=1e-10)
     v = land.solve_field().values
-    assert np.allclose(traj.displacement(25), traj.t[25] * v, atol=1e-12)
+    assert np.allclose(traj.displacement(25, land), traj.t[25] * v, atol=1e-12)
     rep = initiation_report(traj)
     assert rep.classification == "none"
     assert rep.t_i == pytest.approx(1.0)
@@ -86,6 +86,34 @@ def test_unilateral_minimality_certificate():
             competitor = prev.union(member)
             total = t ** 2 * land.bulk(competitor) + k * competitor.h1()
             assert chosen <= total + 1e-9 * (1 + abs(total))
+
+
+def test_evolve_builds_candidates_once_per_crack(monkeypatch):
+    land = weak_landscape(32)
+    fam = weak_family(land.grid)
+    calls = []
+    bulk_many = EnergyLandscape.bulk_many
+
+    def counting(self, cracks, on_field=None):
+        calls.append(len(cracks))
+        return bulk_many(self, cracks, on_field)
+
+    monkeypatch.setattr(EnergyLandscape, "bulk_many", counting)
+    traj = evolve(land, fam, k=1.0, horizon=1.4, steps=40)
+    changes = sum(a.edges != b.edges for a, b in zip(traj.cracks, traj.cracks[1:]))
+    assert changes >= 1
+    assert len(calls) == 1 + changes
+
+
+def test_displacement_needs_the_landscape_it_evolved_on():
+    land = weak_landscape(32)
+    traj = evolve(land, weak_family(land.grid), k=1.0, horizon=1.4, steps=40)
+    j = int(np.argmax(traj.h1))
+    assert np.array_equal(traj.displacement(j, land),
+                          traj.t[j] * land.solve_field(traj.cracks[j]).values)
+    other = EnergyLandscape(land.grid, land.integrand, lambda x, y: 2.0 * linear_x(x, y))
+    with pytest.raises(ValueError):
+        traj.displacement(j, other)
 
 
 def test_scaling_exactness_frozen_crack():
@@ -179,17 +207,19 @@ def test_meyers_departs_immediately():
 def test_load_horizon_formula_and_scaling():
     grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 32)
     integrand = laplace_integrand()
-    hor = load_horizon(grid, integrand, linear_x, k=1.0)
+    land = EnergyLandscape(grid, integrand, linear_x)
+    hor = load_horizon(land, k=1.0)
     assert hor.t_weighted == pytest.approx(math.sqrt(2.0), abs=1e-9)
     assert hor.dirichlet_length == pytest.approx(2.0)
     assert hor.bulk_unit == pytest.approx(1.0, abs=1e-12)
-    hor2 = load_horizon(grid, integrand, linear_x, k=2.0)
+    hor2 = load_horizon(land, k=2.0)
     assert hor2.t_weighted == pytest.approx(math.sqrt(2.0) * 2 ** 0.5, rel=1e-9)
 
 
 def test_load_horizon_constant_datum_infinite():
     grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 16)
-    hor = load_horizon(grid, laplace_integrand(), lambda x, y: 4.0, k=1.0)
+    land = EnergyLandscape(grid, laplace_integrand(), lambda x, y: 4.0)
+    hor = load_horizon(land, k=1.0)
     assert math.isinf(hor.t_weighted)
     assert math.isinf(hor.t_unit)
 
@@ -217,5 +247,5 @@ def test_evolve_solves_each_crack_once(monkeypatch, name, distinct):
     j = int(np.argmax(traj.h1))
     assert traj.h1[j] > 0
     v = solve_field(land, traj.cracks[j]).values
-    assert np.array_equal(traj.displacement(j), traj.t[j] * v)
+    assert np.array_equal(traj.displacement(j, land), traj.t[j] * v)
 

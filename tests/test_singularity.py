@@ -129,6 +129,27 @@ def test_classify_meyers_strong_at_origin_weak_far(centered_domain):
     assert rep.probes[0].alpha == pytest.approx(2.0 / 3.0, abs=0.1)
 
 
+def test_classify_computes_each_local_energy_once(monkeypatch):
+    import fracturelab.singularity as singularity
+
+    grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 128)
+    field = analytic_field(grid, lambda x, y: np.asarray(x, float) ** 2)
+    calls = []
+
+    def counting(fld, x, r):
+        calls.append((tuple(x), r))
+        return local_energy(fld, x, r)
+
+    monkeypatch.setattr(singularity, "local_energy", counting)
+    probes = [(0.5, 0.5), (0.4, 0.6)]
+    rep = classify(field, probes)
+    for probe, pr in zip(probes, rep.probes):
+        radii = default_radii(field, probe)
+        assert sorted(r for x, r in calls if x == probe) == sorted(radii)
+        assert pr.radii == sorted(radii, reverse=True)
+        assert pr.energies == [local_energy(field, probe, r) for r in pr.radii]
+
+
 def test_meyers_gamma_orientations():
     assert meyers_gamma(3.0, "radial_stiff") == pytest.approx(1.0 / 3.0)
     assert meyers_gamma(3.0, "radial_soft") == pytest.approx(3.0)
