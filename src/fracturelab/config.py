@@ -130,6 +130,11 @@ class ExperimentConfig:
         rect = self.get_floats("domain", "rect", required=True)
         if len(rect) != 4:
             raise ConfigError("rect needs 4 numbers: x0 y0 x1 y1", "domain", "rect")
+        width, height = rect[2] - rect[0], rect[3] - rect[1]
+        if not (width > 0 and height > 0 and math.isfinite(width / height)
+                and math.isfinite(height / width)):
+            raise ConfigError("rect needs finite x0 < x1 and y0 < y1 with a finite aspect",
+                              "domain", "rect")
         dirichlet = self.get("domain", "dirichlet", "all")
         spec = "all" if dirichlet.strip() == "all" else dirichlet.split()
         try:

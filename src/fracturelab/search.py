@@ -48,10 +48,10 @@ class EnergyLandscape:
     field lifted onto its own cut grid, bit for bit.
 
     Quadratic-form (p = 2) candidates are small perturbations of the
-    uncracked problem, and once the empty crack is solved the landscape
-    keeps that problem (solver._Uncracked): each later candidate's CG starts
-    from the uncracked field, and only the rows and aggregates its crack
-    changes are assembled; the rest is spliced in, bit for bit.
+    uncracked problem, which the landscape solves before the first of them
+    and keeps (solver._Uncracked): each later candidate's CG starts from
+    the uncracked field, and only the rows and aggregates its crack changes
+    are assembled; the rest is spliced in, bit for bit.
     """
 
     def __init__(self, grid: Grid, integrand, psi, tol: float = 1e-10):
@@ -82,14 +82,16 @@ class EnergyLandscape:
         field lifted onto its own cut grid, cell corner by cell corner, which
         keeps every cell's gradient bit for bit, with that grid's fixed dofs.
         Quadratic-form candidates run CG on the aggregation cycle, from the
-        uncracked problem once it is kept: landscape callers read energies
-        and power pairings, not the CG residual's smooth part that a direct
-        solve() keeps small (see solver).
+        uncracked problem, solved first if nothing is kept: landscape callers
+        read energies and power pairings, not the CG residual's smooth part
+        that a direct solve() keeps small (see solver).
         """
         crack = crack or self.empty_crack
         eff = self.effective(crack)
+        if len(eff) and self.integrand.is_quadratic_form and self._uncracked.values is None:
+            self.bulk()         # keeps the uncracked problem
         fld, report = solve(self.grid, self.integrand, self.psi, eff, tol=self.tol,
-                            _cycle=self._uncracked)
+                            _uncracked=self._uncracked)
         self._bulk[eff.edges] = report.bulk_energy
         if len(eff) == len(crack):
             return fld

@@ -7,8 +7,8 @@ densities by damped Newton with an epsilon-regularized Hessian metric (the
 energy itself is never regularized).  One Newton routine, newton(), serves
 both this bulk solve and the collar problems of the dual bound; each caller
 passes its own exit thresholds.  One routine, _solve_quadratic, assembles,
-slices and solves every quadratic problem: the p = 2 bulk solve, Newton's
-warm start and the p = 2 collar problem.
+slices and solves the quadratic problems outside a landscape: the direct
+p = 2 bulk solve, Newton's warm start and the p = 2 collar problem.
 
 The Newton inner solves run CG preconditioned by an aggregation V-cycle,
 about 15 iterations per step where Jacobi needs O(N) at N^2 cells.  The
@@ -21,17 +21,17 @@ iterations per crack candidate at 128^2 instead of about 300), whose
 callers read energies and power pairings.
 
 Those candidates are small perturbations of one problem, the uncracked
-one.  Once a landscape has solved the empty crack it keeps that problem in
-an _Uncracked: the node values, which nodes are fixed, the free block, its
-right-hand side and its level-0 aggregates.  Each later candidate starts CG
-from the uncracked values (pcg returns a first iterate that already meets
-its stopping test after 0 iterations, as for a slit parallel to grad u),
-assembles only the free-block rows its crack changes and aggregates only
-the key blocks that hold them; every other row and aggregate is spliced in
-from the uncracked problem, so the block, the right-hand side and the cycle
-are bit for bit those of a full set-up, and only the first iterate differs.
-Direct solve(), newton and p != 2 landscapes start from 0 and set up in
-full.
+one: a landscape solves it before its first p = 2 candidate, and the first
+_Uncracked.solve keeps its node values, which nodes are fixed, the free
+block, its right-hand side and its level-0 aggregates.  Every later solve
+starts CG from the uncracked values (pcg returns a first iterate that
+already meets its stopping test after 0 iterations, as for a slit parallel
+to grad u), assembles only the free-block rows its crack changes and
+aggregates only the key blocks that hold them; every other row and
+aggregate is spliced in from the uncracked problem, so the block, the
+right-hand side and the cycle are bit for bit those of a full set-up, and
+only the first iterate differs.  Direct solve(), newton and p != 2
+landscapes start from 0 and set up in full.
 
 A direct solve() of a quadratic
 form stays on Jacobi: it stops on the CG residual alone, and at the same
@@ -583,15 +583,15 @@ def datum_scale(psi, grid: Grid):
 
 
 def solve(grid: Grid, integrand: Integrand, psi, crack: CrackSet = None,
-          tol: float = DEFAULT_TOL, *, _cycle=False):
+          tol: float = DEFAULT_TOL, *, _uncracked=None):
     """Elastic solution for the datum psi on the cracked grid.
 
     Returns (ScalarField, SolveReport).  psi is a vectorized callable
     psi(x, y) evaluated on Dirichlet nodes (values elsewhere are ignored).
-    _cycle (package-internal) runs a quadratic-form solve on the
-    aggregation cycle instead of Jacobi; given an _Uncracked instead of
-    True, it also starts the solve from the uncracked problem kept there,
-    or keeps it there when the crack is empty.  See the module docstring.
+    _uncracked (package-internal) is the _Uncracked of the landscape that
+    asks: it runs a quadratic-form solve (_Uncracked.solve), and newton
+    ignores it.  Without it a quadratic form is solved on Jacobi.  See the
+    module docstring.
     """
     t0 = time.perf_counter()
     topology = cut_grid(grid, crack)
@@ -603,10 +603,10 @@ def solve(grid: Grid, integrand: Integrand, psi, crack: CrackSet = None,
     free = np.nonzero(free)[0]
 
     if integrand.is_quadratic_form:
-        # the metrics are the only reference to themselves, which
-        # _solve_quadratic drops before pcg
-        u, iters, res = _solve_quadratic(topology, integrand.cell_metric(*grid.cell_centers()),
-                                         u, free, tol, _cycle)
+        # the quadratic solve drops the metrics, referenced only there, before pcg
+        quadratic = _solve_quadratic if _uncracked is None else _uncracked.solve
+        u, iters, res = quadratic(topology, integrand.cell_metric(*grid.cell_centers()),
+                                  u, free, tol)
         inner = iters
         method = "cg"
     else:
@@ -627,41 +627,25 @@ def solve(grid: Grid, integrand: Integrand, psi, crack: CrackSet = None,
     return field, report
 
 
-def _solve_quadratic(topology, metric_cells, u, free, tol, cycle, cells=None, load=None,
-                     deflate=()):
+def _solve_quadratic(topology, metric_cells, u, free, tol, cycle=False, cells=None,
+                     load=None, deflate=()):
     """Minimize sum_{c in cells} h^2 grad u . M_c grad u / 2 - load . u[free]
     over u[free] for the (n, 2, 2) metrics M of the cells (all by default):
-    the one assemble, free-block and pcg of every quadratic solve.  cycle
-    runs pcg on the aggregation cycle instead of Jacobi; an _Uncracked runs
-    it too, spliced from and started at the uncracked problem once that is
-    kept, and keeps it when topology is uncut.  deflate is passed to pcg.
-    Returns (u, CG iterations, relative residual)."""
+    the assemble, free-block and pcg of every quadratic solve outside a
+    landscape.  cycle runs pcg on the aggregation cycle instead of Jacobi;
+    deflate is passed to pcg.  Returns (u, CG iterations, relative residual)."""
     if len(free) == 0:
         return u, 0, 0.0
-    uncracked = cycle if isinstance(cycle, _Uncracked) else None
-    x0 = coarsening = None
-    keeping = False
-    if uncracked is not None and uncracked.values is not None:
-        Kff, b, coarsening = uncracked.system(topology, metric_cells, u, free)
-        x0 = uncracked.values[topology.dof_node[free]]
-    else:
-        K = assemble_metric(topology, metric_cells, cells=cells)
-        Kff = K[free][:, free]
-        b = -(K @ u)[free]
-        del K  # not held while pcg builds its preconditioner
-        keeping = uncracked is not None and topology.crack.is_empty
-        if keeping:
-            coarsening = uncracked.keep(topology, Kff, b, free)
-    del metric_cells  # not held while pcg runs, where a solve's memory peaks
+    K = assemble_metric(topology, metric_cells, cells=cells)
+    Kff = K[free][:, free]
+    b = -(K @ u)[free]
+    del K, metric_cells  # not held while pcg runs, where a solve's memory peaks
     if load is not None:
         b += load
     nodes = topology.grid.node_ij(topology.dof_node[free]) if cycle else None
-    x, iters, res = pcg(Kff, b, tol=tol, deflate=deflate, x0=x0, nodes=nodes,
-                        coarsening=coarsening)
+    x, iters, res = pcg(Kff, b, tol=tol, deflate=deflate, nodes=nodes)
     u = u.copy()
     u[free] += x
-    if keeping:
-        uncracked.values = u
     return u, iters, res
 
 
@@ -669,8 +653,8 @@ class _Uncracked:
     """The quadratic problem of the uncut grid, kept for the crack candidates
     of one landscape: its node values, which nodes are fixed, the free block
     and right-hand side, and the block's level-0 aggregates (as the lowest
-    member of each row's aggregate).  values is None until the solve of the
-    empty crack has filled it.
+    member of each row's aggregate).  values is None until the first solve()
+    has kept them.
 
     A crack changes the free block only in the rows of dofs whose cells it
     cuts, and in the rows coupled to a node whose fixed status or value
@@ -682,36 +666,50 @@ class _Uncracked:
     that hold a changed row (aggregates never leave a key block).
     """
 
-    def __init__(self):
-        self.values = None
+    values = None
 
-    def keep(self, topology, block, rhs, free):
-        """Keep the uncut problem's free block and right-hand side; returns
-        the _Coarsening of its level-0 aggregates.  values is set by the
-        caller once the solve is done.
-
-        A landscape holds this for its lifetime, so it is kept compact: row
-        lengths (at most 9) in bytes, columns and aggregate members in the
-        smallest unsigned type, the entries as byte codes when there are at
-        most 256 distinct ones (piecewise-constant coefficients), and the
-        right-hand side only where it is not -0.0, i.e. -(K @ u) of a row
-        coupled to no fixed node."""
-        small = np.min_scalar_type(len(free))
-        entries = np.unique(block.data)
-        self.entries = ((entries, np.searchsorted(entries, block.data).astype(np.uint8))
-                        if len(entries) <= 256 else (block.data, None))
-        self.indices = block.indices.astype(small)
-        self.lengths = np.diff(block.indptr).astype(np.uint8)
-        self.loaded = np.flatnonzero((rhs != 0) | ~np.signbit(rhs)).astype(small)
-        self.loads = rhs[self.loaded]
-        self.fixed = np.ones(topology.n_dofs, dtype=bool)
-        self.fixed[free] = False
-        i, j = topology.grid.node_ij(free)
-        aggregates = _aggregates(block, _entry_rows(block), self._keys(topology.grid, i, j),
-                                 _STRONG)
-        # per row, the row of its aggregate's lowest member
-        self.lowest = _first_members(aggregates[1]).astype(small)[aggregates[1]]
-        return _Coarsening(first=lambda: aggregates)
+    def solve(self, topology, metric_cells, u, free, tol):
+        """The landscape's quadratic solve, on the aggregation cycle.  The
+        first call assembles in full and keeps the problem, which must be the
+        uncut grid's; every later call takes its block from system() and
+        starts CG from the kept values.  Returns (u, CG iterations, relative
+        residual)."""
+        keeping = self.values is None
+        x0 = None if keeping else self.values[topology.dof_node[free]]
+        if keeping:
+            K = assemble_metric(topology, metric_cells)
+            block = K[free][:, free]
+            rhs = -(K @ u)[free]
+            del K  # not held while pcg builds its preconditioner
+            # held for the landscape's lifetime, so compact: row lengths in
+            # bytes, columns and members in the smallest unsigned type, entries
+            # as byte codes if at most 256 are distinct, and the right-hand side
+            # only off the -0.0 = -(K @ u) of rows coupled to no fixed node
+            small = np.min_scalar_type(len(free))
+            entries = np.unique(block.data)
+            self.entries = ((entries, np.searchsorted(entries, block.data).astype(np.uint8))
+                            if len(entries) <= 256 else (block.data, None))
+            self.indices = block.indices.astype(small)
+            self.lengths = np.diff(block.indptr).astype(np.uint8)
+            self.loaded = np.flatnonzero((rhs != 0) | ~np.signbit(rhs)).astype(small)
+            self.loads = rhs[self.loaded]
+            self.fixed = np.ones(topology.n_dofs, dtype=bool)
+            self.fixed[free] = False
+            keys = self._keys(topology.grid, *topology.grid.node_ij(free))
+            aggregates = _aggregates(block, _entry_rows(block), keys, _STRONG)
+            # per row, the row of its aggregate's lowest member
+            self.lowest = _first_members(aggregates[1]).astype(small)[aggregates[1]]
+            coarsening = _Coarsening(first=lambda: aggregates)
+        else:
+            block, rhs, coarsening = self.system(topology, metric_cells, u, free)
+        del metric_cells  # not held while pcg runs, where a solve's memory peaks
+        x, iters, res = pcg(block, rhs, tol=tol, x0=x0, coarsening=coarsening,
+                            nodes=topology.grid.node_ij(topology.dof_node[free]))
+        u = u.copy()
+        u[free] += x
+        if keeping:
+            self.values = u
+        return u, iters, res
 
     @staticmethod
     def _keys(grid, i, j):

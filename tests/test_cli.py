@@ -357,6 +357,10 @@ def test_toughness_must_be_finite_and_positive(tmp_path, capsys, command, sectio
     ("release-curve", "family", "orientations = x"),
     ("dual-bound", "dual_bound", "orientation = x"),
     ("release-curve", "family", "kind = circles\ncenter = 0.5 0.5\nradii = -1"),
+    ("solve", "domain", "rect = 0 0 nan 1"),
+    ("solve", "domain", "rect = 0 0 0 1"),
+    ("solve", "domain", "rect = 0 0 1 inf"),
+    ("solve", "domain", "rect = 0 0 1e-320 1"),
 ])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, command, section, line):
     # each of these ended in a traceback (exit 1), ran on (exit 0) or failed

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fracturelab import search
-from fracturelab.energy import laplace_integrand, meyers_integrand
+from fracturelab.energy import laplace_integrand, meyers_integrand, ppower_integrand
 from fracturelab.errors import EmptyFamily, InvalidProbe, NonConformingCrack
 from fracturelab.geometry import (
     CrackSet,
@@ -372,6 +372,27 @@ def test_nested_circle_union_costs_no_solve(monkeypatch):
     assert field.topology.n_dofs == cut_grid(grid, union).n_dofs
     assert bulk_energy(field) == w1
     assert land.bulk(c0) != w1
+
+
+@pytest.mark.parametrize("p, solved", [(2.0, ["empty", "slit"]), (1.5, ["slit"])])
+def test_a_fresh_landscape_solves_the_empty_crack_before_its_first_p2_candidate(
+        monkeypatch, p, solved):
+    # a p = 2 candidate is spliced from the uncracked problem, so that is
+    # solved and kept first; Newton keeps nothing
+    grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 32)
+    land = EnergyLandscape(grid, ppower_integrand(p), linear_x)
+    slit = CrackSet(grid, [("v", 16, j) for j in range(8, 24)])
+    solves = []
+
+    def counting(*args, **kwargs):
+        solves.append(args[3])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(search, "solve", counting)
+    land.bulk(slit)
+    names = {land.empty_crack.edges: "empty", slit.edges: "slit"}
+    assert [names[c.edges] for c in solves] == solved
+    assert (land._uncracked.values is not None) == (p == 2.0)
 
 
 def test_landscape_rejects_a_crack_from_another_lattice():
