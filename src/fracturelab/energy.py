@@ -27,6 +27,13 @@ RADIAL_SOFT = "radial_soft"    # radial eigenvalue 1/K, tangential K
 RADIAL_STIFF = "radial_stiff"  # radial eigenvalue K,   tangential 1/K
 
 
+def _norm(v):
+    """|v| over the last axis, of length 2: what np.linalg.norm(v, axis=-1)
+    returns, bit for bit (the square root of v0 v0 + v1 v1), without its
+    strided reduction, which costs up to six times as much."""
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
+
+
 # ---------------------------------------------------------------------------
 # coefficient fields
 # ---------------------------------------------------------------------------
@@ -162,14 +169,14 @@ class Integrand:
     def eval_f(self, x, y, xi):
         xi = np.asarray(xi, dtype=float)
         if self.kind == PPOWER:
-            return self._ppower_f(self.coeff.scalar(x, y), np.linalg.norm(xi, axis=-1))
+            return self._ppower_f(self.coeff.scalar(x, y), _norm(xi))
         A = self.coeff.matrix(x, y)
         return np.einsum("...ij,...i,...j->...", A, xi, xi)
 
     def grad_f(self, x, y, xi):
         xi = np.asarray(xi, dtype=float)
         if self.kind == PPOWER:
-            return self._ppower_grad(self.coeff.scalar(x, y), np.linalg.norm(xi, axis=-1), xi)
+            return self._ppower_grad(self.coeff.scalar(x, y), _norm(xi), xi)
         A = self.coeff.matrix(x, y)
         return 2.0 * np.einsum("...ij,...j->...i", A, xi)
 
@@ -178,7 +185,7 @@ class Integrand:
         xi = np.asarray(xi, dtype=float)
         if self.kind == PPOWER:
             c = self.coeff.scalar(x, y)
-            norm = np.linalg.norm(xi, axis=-1)
+            norm = _norm(xi)
             return self._ppower_f(c, norm), self._ppower_grad(c, norm, xi)
         return self.eval_f(x, y, xi), self.grad_f(x, y, xi)
 
@@ -194,7 +201,7 @@ class Integrand:
         if self.kind == PPOWER:
             c = self.coeff.scalar(x, y)
             q = self.q
-            norm = np.linalg.norm(zeta, axis=-1)
+            norm = _norm(zeta)
             return c ** (1.0 - q) / q * norm ** q
         A = self.coeff.matrix(x, y)
         Ainv = np.linalg.inv(A)
@@ -205,7 +212,7 @@ class Integrand:
         if self.kind == PPOWER:
             c = self.coeff.scalar(x, y)
             q = self.q
-            norm = np.linalg.norm(zeta, axis=-1)
+            norm = _norm(zeta)
             fac = np.power(norm, q - 2.0, out=np.zeros_like(norm), where=norm > 0.0)
             return (c ** (1.0 - q) * fac)[..., None] * zeta
         A = self.coeff.matrix(x, y)

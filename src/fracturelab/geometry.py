@@ -172,12 +172,9 @@ class Grid:
         return ids % self.nx, ids // self.nx
 
     def cell_centers(self):
-        ids = np.arange(self.n_cells)
-        i, j = self.cell_ij(ids)
-        return (
-            self.domain.x0 + (i + 0.5) * self.h,
-            self.domain.y0 + (j + 0.5) * self.h,
-        )
+        x = self.domain.x0 + (np.arange(self.nx) + 0.5) * self.h
+        y = self.domain.y0 + (np.arange(self.ny) + 0.5) * self.h
+        return np.tile(x, self.ny), np.repeat(y, self.nx)
 
     def cell_corner_nodes(self):
         """(n_cells, 4) node ids in corner order."""
@@ -284,7 +281,11 @@ class Grid:
 
 
 class CrackSet:
-    """Finite union of grid edges; equality and hashing use the edge set."""
+    """Finite union of grid edges; equality and hashing use the edge set.
+
+    A crack that effective_crack returned carries its cycle test and piece
+    labelling as _pieces until CutTopology.floating_dofs takes them.
+    """
 
     def __init__(self, grid: Grid, edges: Iterable[Edge] = ()):
         self.grid = grid
@@ -490,13 +491,25 @@ class CutTopology:
         lowest dof of each other diagonal component with none.  A crack that
         closes no cycle leaves one piece, whose diagonal components are the
         node parities, and dofs 0 and 1 are their lowest.
+
+        The cycle test and the labelling are those effective_crack left on
+        the crack, taken here so that no crack keeps them past its first
+        cut, and computed afresh otherwise.  For an effective crack that
+        dropped edges they label the pieces of the crack it was reduced
+        from: the dropped edges part only cells that no constrained dof
+        reaches, so the pieces that hold a constrained dof are the same, and
+        every other dof is pinned either way.
         """
-        if not _closes_a_cycle(self.grid, self.crack.edges):
+        pieces = vars(self.crack).pop("_pieces", None)
+        if pieces is None:
+            cycle = _closes_a_cycle(self.grid, self.crack.edges)
+            pieces = _cell_pieces(self.grid, self.crack.edges)[2:] if cycle else (1, None)
+        n, piece = pieces
+        if piece is None:
             i, j = self.grid.node_ij(constrained)
             has = np.zeros(2, dtype=bool)
             has[(i + j) % 2] = True
             return np.flatnonzero(~has) if has.any() else np.arange(self.n_dofs)
-        _, _, n, piece = _cell_pieces(self.grid, self.crack.edges)
         i, j = self.grid.node_ij(self.dof_node)
         label = np.empty(self.n_dofs, dtype=np.intp)    # 2 * piece + parity
         label[self.cell_dofs] = 2 * piece[:, None]
@@ -582,21 +595,32 @@ def _cell_pieces(grid: Grid, edges):
     """The pieces of the cut body: cells joined across interior edges not in
     edges.  Returns (hcut, vcut, n, piece): the edges as masks, hcut[j, i]
     for ("h", i, j) and vcut[j, i] for ("v", i, j), the number of pieces
-    and each cell's piece."""
+    and each cell's piece, numbered by its lowest cell.
+
+    The cells of a row fall into runs between cut "v" edges, and csgraph
+    joins the runs of adjacent rows across uncut "h" edges: a graph of a
+    few hundred runs instead of one of every cell.  Runs are numbered row
+    by row, so a piece's lowest run holds its lowest cell, and csgraph,
+    which numbers components by their lowest vertex, numbers the pieces as
+    it would on the cells."""
     nx, ny = grid.nx, grid.ny
     hcut = np.zeros((ny + 1, nx), dtype=bool)
     vcut = np.zeros((ny, nx + 1), dtype=bool)
     for kind, i, j in edges:
         (vcut if kind == "v" else hcut)[j, i] = True
-    cid = np.arange(grid.n_cells, dtype=np.int32).reshape(ny, nx)
-    across_v = ~vcut[:, 1:nx]
-    across_h = ~hcut[1:ny, :]
-    rows = np.concatenate([cid[:, :-1][across_v], cid[:-1, :][across_h]])
-    cols = np.concatenate([cid[:, 1:][across_v], cid[1:, :][across_h]])
-    adj = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
-                     shape=(grid.n_cells, grid.n_cells))
-    n, piece = _cs_components(adj, directed=False)
-    return hcut, vcut, n, piece
+    starts = vcut[:, :nx].copy()        # a run starts after a cut "v" edge
+    starts[:, 0] = True
+    run = np.cumsum(starts, dtype=np.int32).reshape(ny, nx) - 1
+    # an uncut "h" edge joins the runs below and above it; the one to its
+    # left joined the same two when it is uncut too and neither run starts here
+    join = ~hcut[1:ny, :]
+    new = join.copy()
+    new[:, 1:] &= ~(join[:, :-1] & ~starts[:-1, 1:] & ~starts[1:, 1:])
+    n_runs = int(run[-1, -1]) + 1
+    adj = coo_matrix((np.ones(np.count_nonzero(new), dtype=np.int8),
+                      (run[:-1][new], run[1:][new])), shape=(n_runs, n_runs))
+    n, component = _cs_components(adj, directed=False)
+    return hcut, vcut, n, component[run.ravel()]
 
 
 def effective_crack(grid: Grid, crack: CrackSet) -> CrackSet:
@@ -609,10 +633,15 @@ def effective_crack(grid: Grid, crack: CrackSet) -> CrackSet:
     floating cells and leaves the reached cells' dofs and the constrained
     dofs as they were: the bulk problem, its energy and its power are those
     of the crack.  Returns the crack itself when nothing can be dropped.
+
+    The cycle test and the piece labelling computed here stay on the crack
+    returned until its first cut, whose CutTopology.floating_dofs takes
+    them instead of repeating them.
     """
     if crack.grid is not grid and not _same_lattice(crack.grid, grid):
         raise NonConformingCrack("crack was built on a different grid")
     if not _closes_a_cycle(grid, crack.edges):
+        crack._pieces = (1, None)
         return crack
     nx, ny = grid.nx, grid.ny
     hcut, vcut, n, piece = _cell_pieces(grid, crack.edges)
@@ -628,12 +657,15 @@ def effective_crack(grid: Grid, crack: CrackSet) -> CrackSet:
     hkeep = hcut & (reached[:-1, 1:-1] | reached[1:, 1:-1] | dirichlet[:, :-1] | dirichlet[:, 1:])
     vkeep = vcut & (reached[1:-1, :-1] | reached[1:-1, 1:] | dirichlet[:-1, :] | dirichlet[1:, :])
     if np.count_nonzero(hkeep) + np.count_nonzero(vkeep) == len(crack):
-        return crack
-    hj, hi = np.nonzero(hkeep)
-    vj, vi = np.nonzero(vkeep)
-    return CrackSet._checked(grid, frozenset(
-        [("h", i, j) for i, j in zip(hi.tolist(), hj.tolist())]
-        + [("v", i, j) for i, j in zip(vi.tolist(), vj.tolist())]))
+        eff = crack
+    else:
+        hj, hi = np.nonzero(hkeep)
+        vj, vi = np.nonzero(vkeep)
+        eff = CrackSet._checked(grid, frozenset(
+            [("h", i, j) for i, j in zip(hi.tolist(), hj.tolist())]
+            + [("v", i, j) for i, j in zip(vi.tolist(), vj.tolist())]))
+    eff._pieces = (n, piece)
+    return eff
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 Time-incremental greedy scheme: at each time the state minimizes the total
 energy among the previous crack united with every family member (unilateral
 minimality over the tested closure), exploiting p-homogeneity to solve every
-candidate once at unit datum and scale energies by t^p.  Irreversibility,
-per-step minimality and the energy balance are checked a posteriori.
+candidate once at unit datum and scale energies by t^p and external powers
+by t^(p - 1).  Both come from the landscape's cache (search.EnergyLandscape),
+so an evolution solves only the cracks no earlier caller solved.
+Irreversibility, per-step minimality and the energy balance are checked a
+posteriori.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 
 from .energy import PPOWER, QUADRATIC
 from .errors import InsufficientData
-from .geometry import CrackSet
 from .search import CrackFamily, EnergyLandscape, argmin_with_tolerance
 from .solver import datum_scale
 
@@ -66,32 +68,17 @@ def evolve(landscape: EnergyLandscape, family: CrackFamily, k: float,
 
     Needs a p-homogeneous integrand (both shipped kinds are); the candidate
     set at each step is {previous} + {previous union member}, rebuilt with its
-    unit-datum energies only when the crack changes; of each solved crack only
-    its external power at unit datum is kept.  workers is accepted and ignored:
-    candidates are solved serially, and callers that pass it keep working.
+    unit-datum energies only when the crack changes.  Energies and external
+    powers at unit datum are read from the landscape, which solves a crack
+    only when nothing cached it.  workers is accepted and ignored: candidates
+    are solved serially, and callers that pass it keep working.
     """
     integrand = landscape.integrand
     if integrand.kind not in (PPOWER, QUADRATIC):
         raise ValueError("evolution requires a p-homogeneous integrand kind")
     p = integrand.p
-    grid = landscape.grid
-
-    # unit-datum uncracked field: reference gradient for the external power
-    v_field = landscape.solve_field()
-    v_grad = v_field.gradients()
-    xc, yc = grid.cell_centers()
-    h2 = grid.h ** 2
-    wdot_unit = {}      # effective edges -> external power at unit datum
-
-    # pairing the stress with the uncracked unit field equals pairing with any
-    # lift of the datum, because their difference is an admissible variation.
-    # bulk_many calls it with effective cracks.
-    def record(crack: CrackSet, fld):
-        sig = integrand.grad_f(xc, yc, fld.gradients())
-        wdot_unit[crack.edges] = h2 * float(np.einsum("ci,ci->", sig, v_grad))
 
     crack = landscape.empty_crack
-    record(crack, v_field)
     times = np.linspace(0.0, horizon, steps + 1)
     cracks = [crack]
     h1s = [0.0]
@@ -108,19 +95,15 @@ def evolve(landscape: EnergyLandscape, family: CrackFamily, k: float,
                 if u.edges not in seen:
                     seen.add(u.edges)
                     cands.append(u)
-            unit_bulks = landscape.bulk_many(cands, on_field=record)
+            unit_bulks = landscape.bulk_many(cands)
             lengths = [c.h1() for c in cands]
         totals = [t ** p * b + k * l for b, l in zip(unit_bulks, lengths)]
         pick = argmin_with_tolerance(totals)
         crack = cands[pick]
-        eff = landscape.effective(crack)
-        if eff.edges not in wdot_unit:
-            # energy cached before evolve began
-            record(eff, landscape.solve_field(eff))
         cracks.append(crack)
         h1s.append(lengths[pick])
         bulks.append(t ** p * unit_bulks[pick])
-        power = t ** (p - 1.0) * wdot_unit[eff.edges]
+        power = t ** (p - 1.0) * landscape.power(crack)
         works.append(works[-1] + 0.5 * (times[j] - times[j - 1]) * (power_prev + power))
         power_prev = power
 
@@ -132,7 +115,7 @@ def evolve(landscape: EnergyLandscape, family: CrackFamily, k: float,
     work = np.asarray(works)
     residual = np.abs(total - total[0] - work)
     return Trajectory(t, h1, bulk, surface, total, work, residual, cracks, p, k,
-                      landscape.bulk(), grid.h)
+                      landscape.bulk(), landscape.grid.h)
 
 
 def energy_balance_residual(traj: Trajectory):

@@ -3,9 +3,12 @@
 Families are finite and declared up front; candidate solves are independent
 and cached by effective edges (the part of a crack the Dirichlet datum
 reaches, see geometry.effective_crack), so cracks that differ only inside
-regions the datum cannot reach share one solve.  Every reduction is a
+regions the datum cannot reach share one solve.  Next to each energy the
+cache keeps the crack's external power at unit datum, which
+quasistatic.evolve reads instead of solving.  Every reduction is a
 deterministic tolerance-then-enumeration-order argmin, and every batch is
-solved serially in enumeration order.
+solved serially in enumeration order, each new crack right after its
+effective crack is found.
 """
 
 from __future__ import annotations
@@ -39,19 +42,24 @@ def argmin_with_tolerance(values):
 
 
 class EnergyLandscape:
-    """One boundary-value problem; bulk energies cached per effective crack.
+    """One boundary-value problem; bulk energies and external powers cached
+    per effective crack.
 
     Each crack is solved through its effective crack, whose edges are
     memoised per edge set, and the cache is keyed on the effective edges: a
     union of nested circles costs no solve once the outer circle is cached.
-    Every crack of one effective class gets the same energy, and the same
-    field lifted onto its own cut grid, bit for bit.
+    Every crack of one effective class gets the same energy and power, and
+    the same field lifted onto its own cut grid, bit for bit.  The power is
+    the external power at unit datum, h^2 sum_c sigma(grad u)_c . grad v_c
+    with v the uncracked unit field: pairing the stress with v equals
+    pairing it with any lift of the datum, because their difference is an
+    admissible variation.
 
-    Quadratic-form (p = 2) candidates are small perturbations of the
-    uncracked problem, which the landscape solves before the first of them
-    and keeps (solver._Uncracked): each later candidate's CG starts from
-    the uncracked field, and only the rows and aggregates its crack changes
-    are assembled; the rest is spliced in, bit for bit.
+    The uncracked problem is solved before the first cracked candidate, for
+    v.  Quadratic-form (p = 2) candidates are small perturbations of it, and
+    the landscape keeps it (solver._Uncracked): each later candidate's CG
+    starts from the uncracked field, and only the rows and aggregates its
+    crack changes are assembled; the rest is spliced in, bit for bit.
     """
 
     def __init__(self, grid: Grid, integrand, psi, tol: float = 1e-10):
@@ -59,9 +67,10 @@ class EnergyLandscape:
         self.integrand = integrand
         self.psi = psi
         self.tol = tol
-        self._bulk = {}         # effective edge set -> bulk energy
+        self._solved = {}       # effective edge set -> (bulk energy, external power)
         self._effective = {}    # edge set -> effective crack
         self._uncracked = _Uncracked()
+        self._v_grad = None     # cell gradients of the uncracked unit field v
         self.empty_crack = CrackSet(grid)
 
     def effective(self, crack: CrackSet = None) -> CrackSet:
@@ -71,28 +80,37 @@ class EnergyLandscape:
         eff = self._effective.get(crack.edges) if crack.grid is self.grid else None
         if eff is None:
             eff = effective_crack(self.grid, crack)
+            # one object per class: a reduction to a class seen before drops
+            # the new object and the labelling it carries, which only a solve
+            # of the class takes (see geometry.effective_crack)
+            eff = self._effective.setdefault(eff.edges, eff)
             self._effective[crack.edges] = eff
-            self._effective.setdefault(eff.edges, eff)
         return eff
 
     def solve_field(self, crack: CrackSet = None):
-        """Solve for one crack; its bulk energy is cached as a by-product.
+        """Solve for one crack; its bulk energy and external power are
+        cached as by-products.
 
         The effective crack is solved; a crack that differs from it gets the
         field lifted onto its own cut grid, cell corner by cell corner, which
         keeps every cell's gradient bit for bit, with that grid's fixed dofs.
+        The uncracked problem is solved first if it has not been.
         Quadratic-form candidates run CG on the aggregation cycle, from the
-        uncracked problem, solved first if nothing is kept: landscape callers
-        read energies and power pairings, not the CG residual's smooth part
-        that a direct solve() keeps small (see solver).
+        uncracked problem: landscape callers read energies and power
+        pairings, not the CG residual's smooth part that a direct solve()
+        keeps small (see solver).
         """
         crack = crack or self.empty_crack
         eff = self.effective(crack)
-        if len(eff) and self.integrand.is_quadratic_form and self._uncracked.values is None:
-            self.bulk()         # keeps the uncracked problem
+        if len(eff) and self._v_grad is None:
+            self.bulk()
         fld, report = solve(self.grid, self.integrand, self.psi, eff, tol=self.tol,
                             _uncracked=self._uncracked)
-        self._bulk[eff.edges] = report.bulk_energy
+        if not len(eff):
+            self._v_grad = fld.gradients()
+        sigma = self.integrand.grad_f(*self.grid.cell_centers(), fld.gradients())
+        self._solved[eff.edges] = (report.bulk_energy, self.grid.h ** 2 * float(
+            np.einsum("ci,ci->", sigma, self._v_grad)))
         if len(eff) == len(crack):
             return fld
         top = cut_grid(self.grid, crack)
@@ -102,27 +120,26 @@ class EnergyLandscape:
         fixed = np.union1d(constrained, top.floating_dofs(constrained))
         return ScalarField(top, fld.integrand, values, fld.psi, constrained, fixed)
 
-    def bulk(self, crack: CrackSet = None) -> float:
+    def _energy_and_power(self, crack):
         eff = self.effective(crack)
-        if eff.edges not in self._bulk:
+        if eff.edges not in self._solved:
             self.solve_field(eff)
-        return self._bulk[eff.edges]
+        return self._solved[eff.edges]
 
-    def bulk_many(self, cracks, on_field=None):
-        """Bulk energies of cracks, solving each uncached effective crack once.
+    def bulk(self, crack: CrackSet = None) -> float:
+        return self._energy_and_power(crack)[0]
 
-        on_field(effective crack, field), when given, is called with every
-        field solved here, on the effective crack's cut grid; fields are
-        dropped after it returns.
-        """
-        effs = [self.effective(c) for c in cracks]
-        for e in effs:
-            if e.edges not in self._bulk:
-                fld = self.solve_field(e)
-                if on_field is not None:
-                    on_field(e, fld)
-                del fld     # held into the next solve, it raises peak memory
-        return [self._bulk[e.edges] for e in effs]
+    def power(self, crack: CrackSet = None) -> float:
+        """External power at unit datum, h^2 sum_c sigma(grad u)_c . grad v_c:
+        the rate at which the datum t * psi works on crack's equilibrium at
+        t = 1, scaled by t^(p - 1) at other t."""
+        return self._energy_and_power(crack)[1]
+
+    def bulk_many(self, cracks):
+        """Bulk energies of cracks, solving each uncached effective crack
+        once, right after finding it: its solve takes the cycle test and
+        labelling that geometry.effective_crack made."""
+        return [self._energy_and_power(c)[0] for c in cracks]
 
 
 # ---------------------------------------------------------------------------

@@ -68,3 +68,25 @@ def random_union(grid, rng):
             start = int(rng.integers(n))
             edges |= set(side[start:start + int(rng.integers(1, n + 1))])
     return CrackSet(grid, edges)
+
+
+def random_crack(grid, rng):
+    """A union of 1 to 4 closed boxes, full cuts and boundary debonds."""
+    n = grid.nx
+    edges = set()
+    for _ in range(rng.integers(1, 5)):
+        kind = rng.integers(3)
+        if kind == 0:
+            i0, i1 = sorted(rng.choice(n + 1, 2, replace=False).tolist())
+            j0, j1 = sorted(rng.choice(n + 1, 2, replace=False).tolist())
+            edges |= {("h", i, j) for i in range(i0, i1) for j in (j0, j1)}
+            edges |= {("v", i, j) for i in (i0, i1) for j in range(j0, j1)}
+        elif kind == 1:
+            c = int(rng.integers(1, n))
+            edges |= ({("v", c, j) for j in range(n)} if rng.integers(2)
+                      else {("h", i, c) for i in range(n)})
+        else:
+            side = grid.boundary_edges(("left", "right", "bottom", "top")[rng.integers(4)])
+            start = int(rng.integers(n))
+            edges |= set(side[start:start + int(rng.integers(1, n + 1))])
+    return CrackSet(grid, edges)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fracturelab import energy
 from fracturelab.energy import (
     CheckerboardCoefficient,
     MeyersCoefficient,
@@ -54,6 +55,19 @@ def test_f_and_grad_in_one_pass_match_eval_f_and_grad_f_bit_for_bit(integrand):
     f, grad = integrand.eval_f_and_grad(x, y, xi)
     assert np.array_equal(f, integrand.eval_f(x, y, xi))
     assert np.array_equal(grad, integrand.grad_f(x, y, xi))
+
+
+def test_norm_is_numpys_bit_for_bit():
+    # np.linalg.norm over the last axis is the reference the integrands used
+    rng = np.random.default_rng(5)
+    for scale in (1e-300, 1e-160, 1e-5, 1.0, 1e150):
+        v = rng.standard_normal((3, 400, 2)) * scale
+        v[:, ::7, 0] = 0.0
+        v[:, ::11, 1] = -0.0
+        assert np.array_equal(energy._norm(v), np.linalg.norm(v, axis=-1))
+    v = np.array([[np.inf, 1.0], [-np.inf, 0.0], [np.nan, 0.0], [1e200, 1e200]])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(energy._norm(v), np.linalg.norm(v, axis=-1), equal_nan=True)
 
 
 def test_grad_matches_finite_difference_p15():

@@ -17,8 +17,21 @@ from fracturelab.geometry import (
     read_crack_file,
     write_crack_file,
 )
+from fracturelab.search import circle_crack
 
-from conftest import hslit, random_union, vslit
+from conftest import hslit, random_crack, random_union, vslit
+
+
+# --- grids -----------------------------------------------------------------------
+
+
+def test_cell_centers_match_the_per_cell_formula():
+    # the cell-id formula that the broadcast one replaces, kept as the reference
+    grid = Grid(Domain.rectangle(-0.3, 0.7, 1.7, 1.7), 48, 24)
+    i, j = grid.cell_ij(np.arange(grid.n_cells))
+    x, y = grid.cell_centers()
+    assert np.array_equal(x, grid.domain.x0 + (i + 0.5) * grid.h)
+    assert np.array_equal(y, grid.domain.y0 + (j + 0.5) * grid.h)
 
 
 # --- H1 measure -------------------------------------------------------------
@@ -343,17 +356,65 @@ def diagonal_pins(topo, constrained):
 
 
 def test_floating_dofs_match_a_labelling_of_the_cells_diagonals():
+    # of each crack labelled afresh, and of its effective crack with the
+    # labelling effective_crack left on it, which the first cut takes
     rng = np.random.default_rng(8)
-    cycles = 0
+    cycles = reduced = 0
     for dirichlet in [("left", "right"), "all", ("left",), ("bottom", "right"), ("top",)]:
         grid = Grid(Domain.unit_square(dirichlet=dirichlet), 12)
         for _ in range(40):
             crack = random_union(grid, rng)
             cycles += geometry._closes_a_cycle(grid, crack.edges)
-            topo = cut_grid(grid, crack)
-            constrained = topo.constrained_dofs()
-            assert np.array_equal(topo.floating_dofs(constrained), diagonal_pins(topo, constrained))
+            for labelled in (False, True):
+                cut = effective_crack(grid, crack) if labelled else crack
+                reduced += len(cut) < len(crack)
+                topo = cut_grid(grid, cut)
+                constrained = topo.constrained_dofs()
+                assert np.array_equal(topo.floating_dofs(constrained),
+                                      diagonal_pins(topo, constrained))
+                assert "_pieces" not in vars(cut)
     assert cycles > 50
+    assert reduced > 5
+
+
+def cell_graph_pieces(grid, edges):
+    """_cell_pieces on a graph of every cell, joined across the interior
+    edges not in edges: the labelling that row runs replace, kept as the
+    reference."""
+    nx, ny = grid.nx, grid.ny
+    hcut = np.zeros((ny + 1, nx), dtype=bool)
+    vcut = np.zeros((ny, nx + 1), dtype=bool)
+    for kind, i, j in edges:
+        (vcut if kind == "v" else hcut)[j, i] = True
+    cid = np.arange(grid.n_cells, dtype=np.int32).reshape(ny, nx)
+    across_v = ~vcut[:, 1:nx]
+    across_h = ~hcut[1:ny, :]
+    rows = np.concatenate([cid[:, :-1][across_v], cid[:-1, :][across_h]])
+    cols = np.concatenate([cid[:, 1:][across_v], cid[1:, :][across_h]])
+    adj = coo_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)),
+                     shape=(grid.n_cells, grid.n_cells))
+    return cs_components(adj, directed=False)
+
+
+def test_row_run_pieces_match_the_cell_graph():
+    # the random unions that the reduced-crack landscape test solves, and circles
+    cases = []
+    for dirichlet in [("left", "right"), "all", ("left",), ("bottom", "right")]:
+        grid = Grid(Domain.unit_square(dirichlet=dirichlet), 12)
+        rng = np.random.default_rng(11)
+        cases += [(grid, random_crack(grid, rng)) for _ in range(75)]
+    for n in (64, 128):
+        grid = Grid(Domain.unit_square(dirichlet="all", centered=True), n)
+        cases += [(grid, circle_crack(grid, (x, 0.0), r))
+                  for x, r in ((0.0, 0.05), (0.0, 0.2), (0.1, 0.3))]
+    several = 0
+    for grid, crack in cases:
+        _, _, n, piece = geometry._cell_pieces(grid, crack.edges)
+        n_ref, piece_ref = cell_graph_pieces(grid, crack.edges)
+        assert n == n_ref
+        assert piece.dtype == piece_ref.dtype and np.array_equal(piece, piece_ref)
+        several += n > 1
+    assert several > 50
 
 
 def test_effective_crack_checks_the_lattice():

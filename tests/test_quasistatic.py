@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from fracturelab import search
 from fracturelab.config import load_config
 from fracturelab.energy import laplace_integrand, meyers_integrand, ppower_integrand
 from fracturelab.errors import InsufficientData
@@ -94,15 +95,45 @@ def test_evolve_builds_candidates_once_per_crack(monkeypatch):
     calls = []
     bulk_many = EnergyLandscape.bulk_many
 
-    def counting(self, cracks, on_field=None):
+    def counting(self, cracks):
         calls.append(len(cracks))
-        return bulk_many(self, cracks, on_field)
+        return bulk_many(self, cracks)
 
     monkeypatch.setattr(EnergyLandscape, "bulk_many", counting)
     traj = evolve(land, fam, k=1.0, horizon=1.4, steps=40)
     changes = sum(a.edges != b.edges for a, b in zip(traj.cracks, traj.cracks[1:]))
     assert changes >= 1
     assert len(calls) == 1 + changes
+
+
+def test_evolve_reads_what_the_landscape_cached_before_it_began(monkeypatch):
+    # energies and external powers cached by bulk() before evolve: evolve
+    # solves nothing, and its trajectory is bit for bit a fresh landscape's
+    grid = Grid(Domain.unit_square(dirichlet="all", centered=True), 32)
+
+    def landscape():
+        return EnergyLandscape(grid, meyers_integrand(3.0, "radial_stiff"),
+                               meyers_profile(3.0, "radial_stiff"))
+
+    fam = circles_family(grid, (0.0, 0.0), [0.06, 0.1, 0.16, 0.25])
+    fresh = evolve(landscape(), fam, k=0.05, horizon=1.0, steps=40)
+    assert fresh.first_crack_index() is not None
+    warm = landscape()
+    warm.bulk()
+    for circle in fam:
+        warm.bulk(circle)
+    solves = []
+    solve = search.solve
+
+    def counting(*args, **kwargs):
+        solves.append(args[3])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(search, "solve", counting)
+    traj = evolve(warm, fam, k=0.05, horizon=1.0, steps=40)
+    assert solves == []
+    for name in ("t", "h1", "bulk", "work", "balance_residual"):
+        assert np.array_equal(getattr(traj, name), getattr(fresh, name)), name
 
 
 def test_displacement_needs_the_landscape_it_evolved_on():

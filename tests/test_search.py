@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracturelab import search
+from fracturelab import geometry, search
 from fracturelab.energy import laplace_integrand, meyers_integrand, ppower_integrand
 from fracturelab.errors import EmptyFamily, InvalidProbe, NonConformingCrack
 from fracturelab.geometry import (
@@ -27,7 +27,7 @@ from fracturelab.search import (
 from fracturelab.singularity import meyers_profile
 from fracturelab.solver import bulk_energy, solve
 
-from conftest import linear_x
+from conftest import linear_x, random_crack
 
 
 def smooth_landscape(n=64):
@@ -283,28 +283,6 @@ def quadratic_datum(x, y):
     return np.asarray(x, dtype=float) + 0.5 * np.asarray(y, dtype=float) ** 2
 
 
-def random_crack(grid, rng):
-    """A union of 1 to 4 closed boxes, full cuts and boundary debonds."""
-    n = grid.nx
-    edges = set()
-    for _ in range(rng.integers(1, 5)):
-        kind = rng.integers(3)
-        if kind == 0:
-            i0, i1 = sorted(rng.choice(n + 1, 2, replace=False).tolist())
-            j0, j1 = sorted(rng.choice(n + 1, 2, replace=False).tolist())
-            edges |= {("h", i, j) for i in range(i0, i1) for j in (j0, j1)}
-            edges |= {("v", i, j) for i in (i0, i1) for j in range(j0, j1)}
-        elif kind == 1:
-            c = int(rng.integers(1, n))
-            edges |= ({("v", c, j) for j in range(n)} if rng.integers(2)
-                      else {("h", i, c) for i in range(n)})
-        else:
-            side = grid.boundary_edges(("left", "right", "bottom", "top")[rng.integers(4)])
-            start = int(rng.integers(n))
-            edges |= set(side[start:start + int(rng.integers(1, n + 1))])
-    return CrackSet(grid, edges)
-
-
 @pytest.mark.parametrize("dirichlet", [("left", "right"), "all", ("left",),
                                        ("bottom", "right")])
 def test_landscape_energies_and_fields_of_reduced_cracks_match_direct_solves(dirichlet):
@@ -374,11 +352,12 @@ def test_nested_circle_union_costs_no_solve(monkeypatch):
     assert land.bulk(c0) != w1
 
 
-@pytest.mark.parametrize("p, solved", [(2.0, ["empty", "slit"]), (1.5, ["slit"])])
+@pytest.mark.parametrize("p, solved", [(2.0, ["empty", "slit"]), (1.5, ["empty", "slit"])])
 def test_a_fresh_landscape_solves_the_empty_crack_before_its_first_p2_candidate(
         monkeypatch, p, solved):
-    # a p = 2 candidate is spliced from the uncracked problem, so that is
-    # solved and kept first; Newton keeps nothing
+    # every candidate's external power pairs its stress with the uncracked
+    # field, so that is solved first; a p = 2 candidate is also spliced from
+    # the uncracked problem, which only p = 2 keeps
     grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 32)
     land = EnergyLandscape(grid, ppower_integrand(p), linear_x)
     slit = CrackSet(grid, [("v", 16, j) for j in range(8, 24)])
@@ -393,6 +372,54 @@ def test_a_fresh_landscape_solves_the_empty_crack_before_its_first_p2_candidate(
     names = {land.empty_crack.edges: "empty", slit.edges: "slit"}
     assert [names[c.edges] for c in solves] == solved
     assert (land._uncracked.values is not None) == (p == 2.0)
+
+
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_the_kept_power_is_the_pairing_of_the_solved_field(p):
+    # h^2 sum sigma(grad u) . grad v, with v the uncracked field, bit for bit;
+    # the nested circles are solved as the outer one and lifted
+    grid = Grid(Domain.unit_square(dirichlet="all", centered=True), 32)
+    integrand = ppower_integrand(p)
+    land = EnergyLandscape(grid, integrand, linear_x)
+    c0, c1 = circle_crack(grid, (0.0, 0.0), 0.08), circle_crack(grid, (0.0, 0.0), 0.2)
+    slit = CrackSet(grid, [("v", 16, j) for j in range(10, 20)])
+    cracks = [c1.union(c0), slit, c0, c1, land.empty_crack]
+    powers = [land.power(c) for c in cracks]
+    assert len(land.effective(cracks[0])) < len(cracks[0])
+    v = land.solve_field().gradients()
+    xc, yc = grid.cell_centers()
+    for crack, power in zip(cracks, powers):
+        sigma = integrand.grad_f(xc, yc, land.solve_field(crack).gradients())
+        assert power == grid.h ** 2 * float(np.einsum("ci,ci->", sigma, v))
+    assert powers[0] == powers[3] != powers[2]
+
+
+def test_a_new_cycle_closing_crack_is_labelled_once(monkeypatch):
+    # effective_crack's cycle test and labelling serve the crack's own solve
+    grid = Grid(Domain.unit_square(dirichlet="all", centered=True), 32)
+    land = EnergyLandscape(grid, laplace_integrand(), linear_x)
+    land.bulk()
+    calls = []
+
+    def counted(name):
+        fn = getattr(geometry, name)
+
+        def counting(*args):
+            calls.append(name)
+            return fn(*args)
+        return counting
+
+    for name in ("_closes_a_cycle", "_cell_pieces"):
+        monkeypatch.setattr(geometry, name, counted(name))
+    a, b, c, d, e = (circle_crack(grid, (0.0, 0.0), r) for r in (0.06, 0.1, 0.15, 0.2, 0.25))
+    # each crack is new, and a union of nested circles is solved as the outer one
+    for solve_new, arg in ((land.bulk, b), (land.bulk, a.union(c)),
+                           (land.bulk_many, [d]), (land.bulk_many, [a.union(e)])):
+        calls.clear()
+        solve_new(arg)
+        assert calls.count("_closes_a_cycle") == 1
+        assert calls.count("_cell_pieces") <= 1
+    assert land.effective(a.union(e)) == e
 
 
 def test_landscape_rejects_a_crack_from_another_lattice():
