@@ -40,7 +40,7 @@ from .errors import (
 from .geometry import CrackSet, Domain, Grid, read_crack_file
 from .quasistatic import evolve, initiation_report, load_horizon
 from .search import EnergyLandscape, release_curve
-from .singularity import classify, fit_exponent, default_radii, meyers_gamma, meyers_profile
+from .singularity import classify, meyers_gamma, meyers_profile
 from .solver import bulk_energy, solve, stress, total_energy
 
 EXIT_CODES = [
@@ -286,9 +286,8 @@ def cmd_meyers_verify(cfg: ExperimentConfig, out, seed):
         integrand = meyers_integrand(K, orientation)
         psi = meyers_profile(K, orientation)
         field, _ = solve(grid, integrand, psi, tol=cfg.tol())
-        radii = default_radii(field, (0.0, 0.0))
-        alpha, _C = fit_exponent(field, (0.0, 0.0), radii)
-        cls = "strong" if alpha < 0.9 else ("critical" if alpha < 1.1 else "weak")
+        origin = classify(field, [(0.0, 0.0)]).probes[0]
+        alpha, cls = origin.alpha, origin.classification
         rows.append((orientation, gamma, 2.0 * gamma, alpha, cls))
         print(f"meyers-verify: {orientation:13s} gamma={gamma:.6g} "
               f"alpha_theory={2*gamma:.6g} alpha_fit={alpha:.4g} -> {cls}")
@@ -328,7 +327,10 @@ def main(argv=None):
         out = cfg.out_dir(args.out)
         cfg.workers(args.workers)
         seed = cfg.seed(args.seed)
-        os.makedirs(out, exist_ok=True)
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make the output directory: {exc}", "run", "out") from None
         COMMANDS[args.command](cfg, out, seed)
         return 0
     except FractureLabError as exc:

@@ -174,20 +174,18 @@ class ExperimentConfig:
             p = self.get_bounded("integrand", "p", low=1.0)
             coeff_kind = self.get("integrand", "coefficient", "constant")
             if coeff_kind == "constant":
-                coeff = self.get_bounded("integrand", "value", 1.0)
-            elif coeff_kind == "checkerboard":
-                vals = self.get_floats("integrand", "values", required=True)
-                if len(vals) != 2:
-                    raise ConfigError("checkerboard needs 2 values", "integrand", "values")
-                block = self.get_float("integrand", "block", required=True)
-                coeff = CheckerboardCoefficient(vals[0], vals[1], block)
-            else:
+                return ppower_integrand(p, self.get_bounded("integrand", "value", 1.0))
+            if coeff_kind != "checkerboard":
                 raise ConfigError(f"unknown coefficient {coeff_kind!r}",
                                   "integrand", "coefficient")
+            vals = self.get_floats("integrand", "values", required=True)
+            if len(vals) != 2:
+                raise ConfigError("checkerboard needs 2 values", "integrand", "values")
+            block = self.get_bounded("integrand", "block")
             try:
-                return ppower_integrand(p, coeff)
+                return ppower_integrand(p, CheckerboardCoefficient(vals[0], vals[1], block))
             except ValueError as exc:
-                raise ConfigError(str(exc), "integrand", "p") from None
+                raise ConfigError(str(exc), "integrand", "values") from None
         # quadratic: constant matrix entries (the composite is kind = meyers)
         coeff_kind = self.get("integrand", "coefficient", "constant")
         if coeff_kind == "meyers":
@@ -289,7 +287,7 @@ def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         read = parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path!r}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")

@@ -219,7 +219,7 @@ def corrector(collar: Collar, sigma: np.ndarray, phi: CutoffField, case: str,
     xc, yc = (coord[collar.cells] for coord in grid.cell_centers())
     if p == 2.0:
         v, iters, _ = _solve_quadratic(topology, integrand.cell_metric(xc, yc), v, unknowns,
-                                       tol, False, collar.cells, rhs, deflate)
+                                       tol, None, collar.cells, rhs, deflate)
         inner = iters
     else:
         for qv in deflate:

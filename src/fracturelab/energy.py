@@ -59,6 +59,10 @@ class CheckerboardCoefficient:
     block: float
     origin: tuple = (0.0, 0.0)
 
+    def __post_init__(self):
+        if not all(0.0 < v < math.inf for v in (self.c_even, self.c_odd, self.block)):
+            raise ValueError("checkerboard values and block must be finite and > 0")
+
     def scalar(self, x, y):
         ix = np.floor((np.asarray(x) - self.origin[0]) / self.block).astype(int)
         iy = np.floor((np.asarray(y) - self.origin[1]) / self.block).astype(int)
@@ -249,16 +253,16 @@ def ppower_integrand(p, coeff=1.0):
     if not hasattr(coeff, "scalar"):
         coeff = ConstantCoefficient(float(coeff))
     lo, hi = coeff.bounds()
-    if lo <= 0:
-        raise ValueError("coefficient must be positive")
+    if not 0.0 < lo <= hi < math.inf:
+        raise ValueError("coefficient must be finite and positive")
     return Integrand(PPOWER, float(p), coeff, lo / p, hi / p)
 
 
 def quadratic_integrand(coeff):
     """f = A(x) xi . xi for a matrix coefficient field."""
     lo, hi = coeff.bounds()
-    if lo <= 0:
-        raise ValueError("matrix coefficient must be positive definite")
+    if not 0.0 < lo <= hi < math.inf:
+        raise ValueError("matrix coefficient must be finite and positive definite")
     return Integrand(QUADRATIC, 2.0, coeff, lo, hi)
 
 

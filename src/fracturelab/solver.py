@@ -10,15 +10,17 @@ passes its own exit thresholds.  One routine, _solve_quadratic, assembles,
 slices and solves the quadratic problems outside a landscape: the direct
 p = 2 bulk solve, Newton's warm start and the p = 2 collar problem.
 
-The Newton inner solves run CG preconditioned by an aggregation V-cycle,
-about 15 iterations per step where Jacobi needs O(N) at N^2 cells.  The
-Hessians of one Newton solve share one sparsity pattern, so newton builds
-that pattern once, and the cycle of its first Hessian keeps its aggregates
-for the later steps; each step refills only values: the Hessian's, the
-coarse operators', the smoothers' and the coarse factor.  The cycle also
-runs the quadratic-form solves of search.EnergyLandscape (about 25
-iterations per crack candidate at 128^2 instead of about 300), whose
-callers read energies and power pairings.
+pcg runs Jacobi unless its caller passes a cycle factory; it builds the
+preconditioner only when CG must iterate.  The Newton inner solves pass
+partial(_AggregationCycle, nodes=...), an aggregation V-cycle: about 15
+iterations per step where Jacobi needs O(N) at N^2 cells.  The Hessians of
+one Newton solve share one sparsity pattern, so newton builds that pattern
+once, and its factory carries a levels list that the cycle of its first
+Hessian fills and every later step replays; each step refills only values:
+the Hessian's, the coarse operators', the smoothers' and the coarse factor.
+The cycle also runs the quadratic-form solves of search.EnergyLandscape
+(about 25 iterations per crack candidate at 128^2 instead of about 300),
+whose callers read energies and power pairings.
 
 Those candidates are small perturbations of one problem, the uncracked
 one: a landscape solves it before its first p = 2 candidate, and the first
@@ -28,17 +30,17 @@ starts CG from the uncracked values (pcg returns a first iterate that
 already meets its stopping test after 0 iterations, as for a slit parallel
 to grad u), assembles only the free-block rows its crack changes and
 aggregates only the key blocks that hold them; every other row and
-aggregate is spliced in from the uncracked problem, so the block, the
+aggregate is spliced in from the uncracked problem, and the cycle takes
+the spliced level-0 aggregates as its first argument.  So the block, the
 right-hand side and the cycle are bit for bit those of a full set-up, and
 only the first iterate differs.  Direct solve(), newton and p != 2
 landscapes start from 0 and set up in full.
 
-A direct solve() of a quadratic
-form stays on Jacobi: it stops on the CG residual alone, and at the same
-relative residual the cycle leaves more of it in smooth modes, so the
-stress's weak divergence against a smooth test function stays near 1e-10
-instead of falling under refinement as Jacobi's does.  Newton steps end on
-the Newton gradient test instead.
+A direct solve() of a quadratic form stays on Jacobi: it stops on the CG
+residual alone, and at the same relative residual the cycle leaves more of
+it in smooth modes, so the stress's weak divergence against a smooth test
+function stays near 1e-10 instead of falling under refinement as Jacobi's
+does.  Newton steps end on the Newton gradient test instead.
 
 Stiffness assembly is parity split.  One-point quadrature sees a cell only
 through its diagonal differences u11 - u00 and u10 - u01, each joining two
@@ -64,6 +66,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -204,21 +207,19 @@ def _element_values(metric_cells):
     return np.concatenate([(flat @ _SAME_BLOCKS).ravel(), (flat @ _CROSS_BLOCKS).ravel()])
 
 
-def pcg(A, b, tol=1e-10, deflate=(), x0=None, nodes=None, coarsening=None):
+def pcg(A, b, tol=1e-10, deflate=(), x0=None, cycle=None):
     """Preconditioned conjugate gradients with optional deflation.
 
-    The preconditioner is Jacobi, or the aggregation V-cycle built from A
-    when nodes = (i, j), the grid indices of A's rows, is given.
-    coarsening: a _Coarsening that carries the cycle's aggregates from one
-    call to the next on matrices of one pattern, or gives its level-0
-    aggregates in advance (see _AggregationCycle).  x0 is the first iterate
-    (default 0); when its residual already meets the stopping test
-    |r| <= tol |b|, pcg returns it after 0 iterations without building a
-    preconditioner.  deflate: orthonormal null vectors of A; b and the
-    iterates are kept in their orthogonal complement.  Returns (x,
-    iterations, relative residual).  Raises NoConvergence on breakdown (a
-    non-finite residual or p.Ap <= 0) and when _iteration_cap(n)
-    iterations do not reach tol.
+    The preconditioner is Jacobi, or cycle(A, singular=...) when the caller
+    gives a cycle factory, such as partial(_AggregationCycle, nodes=(i, j))
+    with the grid indices of A's rows; singular is whether deflate is
+    given.  x0 is the first iterate (default 0); when its residual already
+    meets the stopping test |r| <= tol |b|, pcg returns it after 0
+    iterations without building a preconditioner.  deflate: orthonormal
+    null vectors of A; b and the iterates are kept in their orthogonal
+    complement.  Returns (x, iterations, relative residual).  Raises
+    NoConvergence on breakdown (a non-finite residual or p.Ap <= 0) and
+    when _iteration_cap(n) iterations do not reach tol.
     """
     n = A.shape[0]
     maxiter = _iteration_cap(n)
@@ -243,16 +244,16 @@ def pcg(A, b, tol=1e-10, deflate=(), x0=None, nodes=None, coarsening=None):
     rr = r @ r
     if x0 is not None and rr <= stop:
         return x, 0, np.sqrt(rr) / bnorm
-    if nodes is None:
+    if cycle is None:
         inv_d = _inverse_diagonal(A)
 
         def precondition(r, z):
             np.multiply(r, inv_d, out=z)
     else:
-        cycle = _AggregationCycle(A, nodes, singular=Q is not None, coarsening=coarsening)
+        apply = cycle(A, singular=Q is not None)
 
         def precondition(r, z):
-            z[:] = project(cycle(r))
+            z[:] = project(apply(r))
     z = np.empty(n)
     precondition(r, z)
     p = z.copy()
@@ -315,47 +316,35 @@ _STALL = 0.8            # coarsening that keeps more of the unknowns stops
 _BRAESS = 1.5           # over-relaxation of the coarse correction
 
 
-class _Coarsening:
-    """The symbolic half of an aggregation cycle.  For the matrices of one
-    pattern: per level the aggregates, their count and the _Scatter of the
-    Galerkin operator on the level's entries; levels is None until a cycle
-    has filled it.  Or, with first, a callable that returns the level-0
-    aggregates (nc, agg) of the matrix a cycle is built on: such a
-    coarsening is never filled, and the cycle is built as one without a
-    coarsening, but for the call to _aggregates that first stands in for."""
-
-    def __init__(self, first=None):
-        self.levels = None
-        self.first = first
-
-
 class _AggregationCycle:
     """Symmetric V(1,1) cycle: Jacobi smoothing damped by 4 / (3 rho), rho the
     Gershgorin bound of D^-1 A on each level, and Galerkin coarse operators
-    (A's entries summed per aggregate pair).  Call it on a residual.
+    (A's entries summed per aggregate pair).  Call it on a residual; nodes =
+    (i, j) are the grid indices of A's rows.
 
     A must be positive definite unless singular: then the caller deflates
     A's null space, and the coarsest operator is shifted by 1e-12 of its
     largest diagonal entry before it is factored.
 
-    With an empty coarsening, the cycle records its aggregates in it and
-    sums its Galerkin operators through slot maps over every stored entry
-    (the SpGEMM of _galerkin drops sums that cancel, so its pattern can
-    change with the values); with a filled one, it takes the aggregates and
-    maps from it, so A must have the pattern of the matrix that filled it.
-    A coarsening with first gives only the level-0 aggregates.  Smoothers,
-    coarse values and the coarse factor are always A's own.
+    Two reuses, both plain arguments.  levels, an empty list, is filled with
+    the hierarchy: per level the aggregates, their count and the _Scatter
+    that sums the Galerkin operator over every stored entry (the SpGEMM of
+    _galerkin drops sums that cancel, so its pattern can change with the
+    values).  A filled levels is replayed, so A must have the pattern of the
+    matrix that filled it; a hierarchy of no level leaves it empty, and the
+    next cycle records again.  first, a callable, returns the level-0
+    aggregates (nc, agg) that _aggregates would give on A; it is called
+    only when A is above the coarse size.  Smoothers, coarse values and the
+    coarse factor are always A's own.
     """
 
-    def __init__(self, A, nodes, singular=False, coarsening=None):
+    def __init__(self, A, nodes, singular=False, levels=None, first=None):
         self.levels = []
-        if coarsening is not None and coarsening.levels is not None:
-            for agg, nc, galerkin in coarsening.levels:
+        if levels:
+            for agg, nc, galerkin in levels:
                 self._add_level(A, _entry_rows(A), agg, nc)
                 A = galerkin(A.data)
         else:
-            first = coarsening.first if coarsening is not None else None
-            record = [] if coarsening is not None and first is None else None
             i, j = (np.asarray(v) for v in nodes)
             bi, bj, parity = i // 3, j // 3, (i + j) % 2
             strong = _STRONG
@@ -370,18 +359,16 @@ class _AggregationCycle:
                 if nc > _STALL * n:
                     break
                 self._add_level(A, rows, agg, nc)
-                if record is None:
+                if levels is None:
                     A = _galerkin(A, agg, nc)
                 else:
                     galerkin = _Scatter(agg[rows], agg[A.indices], (nc, nc))
-                    record.append((agg, nc, galerkin))
+                    levels.append((agg, nc, galerkin))
                     A = galerkin(A.data)
                 member = np.empty(nc, dtype=agg.dtype)
                 member[agg] = np.arange(n, dtype=agg.dtype)
                 bi, bj, parity = bi[member] // 2, bj[member] // 2, parity[member]
                 strong = 0.0
-            if record is not None:
-                coarsening.levels = record
         dense = A.toarray()
         if singular:
             dense[np.diag_indices_from(dense)] += 1e-12 * dense.diagonal().max()
@@ -627,13 +614,13 @@ def solve(grid: Grid, integrand: Integrand, psi, crack: CrackSet = None,
     return field, report
 
 
-def _solve_quadratic(topology, metric_cells, u, free, tol, cycle=False, cells=None,
+def _solve_quadratic(topology, metric_cells, u, free, tol, cycle=None, cells=None,
                      load=None, deflate=()):
     """Minimize sum_{c in cells} h^2 grad u . M_c grad u / 2 - load . u[free]
     over u[free] for the (n, 2, 2) metrics M of the cells (all by default):
     the assemble, free-block and pcg of every quadratic solve outside a
-    landscape.  cycle runs pcg on the aggregation cycle instead of Jacobi;
-    deflate is passed to pcg.  Returns (u, CG iterations, relative residual)."""
+    landscape.  cycle and deflate are passed to pcg.  Returns (u, CG
+    iterations, relative residual)."""
     if len(free) == 0:
         return u, 0, 0.0
     K = assemble_metric(topology, metric_cells, cells=cells)
@@ -642,8 +629,7 @@ def _solve_quadratic(topology, metric_cells, u, free, tol, cycle=False, cells=No
     del K, metric_cells  # not held while pcg runs, where a solve's memory peaks
     if load is not None:
         b += load
-    nodes = topology.grid.node_ij(topology.dof_node[free]) if cycle else None
-    x, iters, res = pcg(Kff, b, tol=tol, deflate=deflate, nodes=nodes)
+    x, iters, res = pcg(Kff, b, tol=tol, deflate=deflate, cycle=cycle)
     u = u.copy()
     u[free] += x
     return u, iters, res
@@ -699,12 +685,15 @@ class _Uncracked:
             aggregates = _aggregates(block, _entry_rows(block), keys, _STRONG)
             # per row, the row of its aggregate's lowest member
             self.lowest = _first_members(aggregates[1]).astype(small)[aggregates[1]]
-            coarsening = _Coarsening(first=lambda: aggregates)
+
+            def first():
+                return aggregates
         else:
-            block, rhs, coarsening = self.system(topology, metric_cells, u, free)
+            block, rhs, first = self.system(topology, metric_cells, u, free)
         del metric_cells  # not held while pcg runs, where a solve's memory peaks
-        x, iters, res = pcg(block, rhs, tol=tol, x0=x0, coarsening=coarsening,
-                            nodes=topology.grid.node_ij(topology.dof_node[free]))
+        cycle = partial(_AggregationCycle, nodes=topology.grid.node_ij(topology.dof_node[free]),
+                        first=first)
+        x, iters, res = pcg(block, rhs, tol=tol, x0=x0, cycle=cycle)
         u = u.copy()
         u[free] += x
         if keeping:
@@ -718,7 +707,7 @@ class _Uncracked:
 
     def system(self, topology, metric_cells, u, free):
         """The free block and right-hand side of a cut grid's problem with
-        fixed values u, and a _Coarsening that gives the block's level-0
+        fixed values u, and a callable that returns the block's level-0
         aggregates: those of K[free][:, free], -(K @ u)[free] and _aggregates
         for the full assembly K, bit for bit."""
         grid = topology.grid
@@ -779,7 +768,7 @@ class _Uncracked:
         def first():
             return self._splice_aggregates(topology, block, free, changed, spliced,
                                            renumber[self.lowest[rows0]])
-        return block, rhs, _Coarsening(first=first)
+        return block, rhs, first
 
     def _splice_aggregates(self, topology, block, free, changed, spliced, lowest):
         """_aggregates of block at level 0: the uncracked aggregates of every
@@ -864,12 +853,13 @@ def newton(topology, integrand, u, free, *, eps, tol, gtol, stall_gtol, gfloor,
     # the Hessians of all steps share one pattern: build it, and the cycle's
     # aggregates (from the first Hessian), once
     block = _free_block(topology, free, cells)
-    coarsening = _Coarsening()
+    cycle = partial(_AggregationCycle, nodes=nodes, levels=[])
     # warm start from the quadratic problem with the same coefficient
     M0 = np.zeros((len(c), 2, 2))
     M0[:, 0, 0] = c
     M0[:, 1, 1] = c
-    u, total_iters, _ = _solve_quadratic(topology, M0, u, free, 1e-8, True, cells, load,
+    u, total_iters, _ = _solve_quadratic(topology, M0, u, free, 1e-8,
+                                         partial(_AggregationCycle, nodes=nodes), cells, load,
                                          deflate)
 
     E, grad, g = _energy_and_gradient(topology, integrand, u, free, xc, yc, cells, load,
@@ -887,7 +877,7 @@ def newton(topology, integrand, u, free, *, eps, tol, gtol, stall_gtol, gfloor,
             g[:, :, None] * g[:, None, :]
         )
         dx, inner, _ = pcg(block(_element_values(H)), -grad, tol=1e-6, deflate=deflate,
-                           nodes=nodes, coarsening=coarsening)
+                           cycle=cycle)
         total_iters += inner
         slope = grad @ dx
         alpha = 1.0

@@ -319,6 +319,9 @@ def test_toughness_must_be_finite_and_positive(tmp_path, capsys, command, sectio
     assert f"[{section}.{line.split()[0]}]" in capsys.readouterr().err
 
 
+CHECKERBOARD = "kind = ppower\np = 2\ncoefficient = checkerboard\n"
+
+
 @pytest.mark.parametrize("command, section, line", [
     ("evolve", "evolve", "horizon = nan"),
     ("evolve", "evolve", "horizon = -1"),
@@ -361,6 +364,11 @@ def test_toughness_must_be_finite_and_positive(tmp_path, capsys, command, sectio
     ("solve", "domain", "rect = 0 0 0 1"),
     ("solve", "domain", "rect = 0 0 1 inf"),
     ("solve", "domain", "rect = 0 0 1e-320 1"),
+    ("solve", "integrand", CHECKERBOARD + "values = 1 2\nblock = 0"),
+    ("solve", "integrand", CHECKERBOARD + "values = 1 2\nblock = nan"),
+    ("solve", "integrand", CHECKERBOARD + "block = 0.25\nvalues = 1 nan"),
+    ("solve", "integrand", CHECKERBOARD + "block = 0.25\nvalues = 1 -1"),
+    ("solve", "integrand", "kind = quadratic\nmatrix = 1 inf"),
 ])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, command, section, line):
     # each of these ended in a traceback (exit 1), ran on (exit 0) or failed
@@ -430,13 +438,29 @@ def test_budget_ladder_must_be_non_empty_and_decreasing(tmp_path, capsys, budget
     "n = 32\n",
     "[grid]\nn = 32\nn = 64\n",
     BASE.replace("seed = 0", "seed = 0%"),
-], ids=["no-section-header", "option-given-twice", "stray-percent"])
+    b"\xff\xfe\x81",
+], ids=["no-section-header", "option-given-twice", "stray-percent", "undecodable"])
 def test_malformed_ini_is_config_error(tmp_path, capsys, text):
-    # each ended in a configparser traceback (exit 1)
+    # each ended in a configparser or UnicodeDecodeError traceback (exit 1)
     cfg = tmp_path / "bad.ini"
-    cfg.write_text(text)
+    cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("flag", [True, False], ids=["--out", "run-out"])
+def test_output_path_through_a_file_is_config_error(tmp_path, capsys, flag, below):
+    # an existing file as the output directory ended in a FileExistsError
+    # traceback, a directory under it in a NotADirectoryError one (exit 1)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / below if below else taken
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(BASE.format(out=tmp_path / "out" if flag else out))
+    assert main(["solve", "--config", str(cfg), *(["--out", str(out)] if flag else [])]) == 2
+    assert "[run.out]" in capsys.readouterr().err
+    assert taken.read_text() == ""
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

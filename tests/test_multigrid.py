@@ -1,10 +1,12 @@
 """The aggregation V-cycle that preconditions the Newton inner solves.
 
-``pcg(..., nodes=(i, j))`` builds the cycle from the matrix it solves; the
-checks here are the properties CG needs from it (symmetry, positivity,
-parity-pure aggregates that respect cuts) and agreement with the Jacobi
-path on the same problems.
+``pcg(..., cycle=partial(_AggregationCycle, nodes=(i, j)))`` builds the cycle
+from the matrix it solves; the checks here are the properties CG needs from
+it (symmetry, positivity, parity-pure aggregates that respect cuts) and
+agreement with the Jacobi path on the same problems.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -108,7 +110,8 @@ def test_deflated_cycle_pcg_on_neumann_collar_matches_lstsq():
     b = np.random.default_rng(3).standard_normal(len(unknowns))
     Q = np.column_stack(deflate)
     b -= Q @ (Q.T @ b)
-    x, iters, res = pcg(K, b, tol=1e-12, deflate=deflate, nodes=nodes)
+    x, iters, res = pcg(K, b, tol=1e-12, deflate=deflate,
+                         cycle=partial(_AggregationCycle, nodes=nodes))
     _, jacobi_iters, _ = pcg(K, b, tol=1e-12, deflate=deflate)
     ref = np.linalg.lstsq(K.toarray(), b, rcond=None)[0]
     assert 0 < iters < jacobi_iters and res <= 1e-12
@@ -128,7 +131,8 @@ def test_radial_stiff_converges_within_100_iterations():
     u[grid.dirichlet_nodes()] = grid.node_xy(grid.dirichlet_nodes())[0]
     b = -(K @ u)[free]
     nodes = grid.node_ij(topo.dof_node[free])
-    _, iters, res = pcg(K[free][:, free], b, tol=1e-10, nodes=nodes)
+    _, iters, res = pcg(K[free][:, free], b, tol=1e-10,
+                        cycle=partial(_AggregationCycle, nodes=nodes))
     assert iters <= 100 and res <= 1e-10
 
 
@@ -138,14 +142,15 @@ def test_system_below_coarse_size_is_solved_in_one_iteration():
     assert A.shape[0] <= 300
     assert _AggregationCycle(A, nodes).levels == []
     b = np.random.default_rng(1).standard_normal(A.shape[0])
-    x, iters, res = pcg(A, b, tol=1e-10, nodes=nodes)
+    x, iters, res = pcg(A, b, tol=1e-10, cycle=partial(_AggregationCycle, nodes=nodes))
     assert iters == 1 and res <= 1e-10
 
 
 def test_indefinite_system_raises_under_the_cycle():
     A = sp.csr_matrix(np.diag([1.0, -1.0]))
     with pytest.raises(NoConvergence):
-        pcg(A, np.array([0.0, 1.0]), nodes=(np.array([0, 1]), np.array([0, 0])))
+        pcg(A, np.array([0.0, 1.0]),
+            cycle=partial(_AggregationCycle, nodes=(np.array([0, 1]), np.array([0, 0]))))
 
 
 def test_newton_with_cycle_matches_jacobi_newton(monkeypatch):
@@ -155,7 +160,7 @@ def test_newton_with_cycle_matches_jacobi_newton(monkeypatch):
     field, rep = solve(grid, integrand, linear_x, crack)
 
     jacobi_pcg = solver.pcg
-    monkeypatch.setattr(solver, "pcg", lambda *a, nodes=None, **k: jacobi_pcg(*a, **k))
+    monkeypatch.setattr(solver, "pcg", lambda *a, cycle=None, **k: jacobi_pcg(*a, **k))
     ref_field, ref = solve(grid, integrand, linear_x, crack)
     assert rep.iterations == ref.iterations
     assert abs(rep.bulk_energy - ref.bulk_energy) <= 1e-12 * abs(ref.bulk_energy)
@@ -184,7 +189,8 @@ def test_setup_pins_one_dof_of_a_floating_parity_chain(lr_domain):
     assert pinned[0] == chain.min()
     u = np.zeros(topo.n_dofs)
     u[fixed] = vals
-    x, _, res = pcg(A, -(K @ u)[free], nodes=grid.node_ij(topo.dof_node[free]))
+    x, _, res = pcg(A, -(K @ u)[free],
+                    cycle=partial(_AggregationCycle, nodes=grid.node_ij(topo.dof_node[free])))
     assert res <= 1e-10
 
 
@@ -199,7 +205,8 @@ def test_cycle_deflates_a_pure_neumann_hessian_with_cross_parity_couplings():
     Q = np.column_stack(deflate)
     b = np.random.default_rng(2).standard_normal(A.shape[0])
     b -= Q @ (Q.T @ b)
-    x, _, res = pcg(A, b, tol=1e-12, deflate=deflate, nodes=nodes)
+    x, _, res = pcg(A, b, tol=1e-12, deflate=deflate,
+                    cycle=partial(_AggregationCycle, nodes=nodes))
     ref = np.linalg.lstsq(A.toarray(), b, rcond=None)[0]
     assert res <= 1e-12
     assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
@@ -261,6 +268,24 @@ def test_newton_aggregates_its_warm_start_and_first_hessian_only(monkeypatch):
     assert all(len(builds) >= 2 and not any(builds[2:]) for builds in solves)
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("a replayed cycle aggregates nothing")
+
+
+def test_a_replayed_cycle_returns_the_bits_of_the_cycle_that_recorded_it(monkeypatch):
+    # newton's later steps replay the hierarchy that its first Hessian's
+    # cycle recorded; on that Hessian, the replay is the recording cycle
+    grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 64)
+    _, _, A, nodes = p15_hessian_system(grid, vslit(grid, 32, 16, 16))
+    levels = []
+    recorded = _AggregationCycle(A, nodes, levels=levels)
+    assert len(levels) == len(recorded.levels) >= 2
+    monkeypatch.setattr(solver, "_aggregates", refuse)
+    replayed = _AggregationCycle(A, nodes, levels=levels)
+    r = np.random.default_rng(7).standard_normal(A.shape[0])
+    assert np.array_equal(replayed(r).view(np.uint64), recorded(r).view(np.uint64))
+
+
 def test_free_dofs_are_the_solve_unknowns_on_a_strip_with_a_floating_chain(lr_domain):
     # the pinned lowest dof of the odd chain is fixed, not free, so the block
     # over free_dofs() is regular and stress() leaves the pin out of its
@@ -319,7 +344,7 @@ def test_spliced_systems_match_a_full_assembly(integrand, datum, centered):
             u = np.zeros(topo.n_dofs)
             u[fixed] = vals
             free = np.setdiff1d(np.arange(topo.n_dofs), fixed)
-            block, rhs, coarsening = uncracked.system(topo, metric, u, free)
+            block, rhs, first = uncracked.system(topo, metric, u, free)
             K = assemble_metric(topo, metric)
             full = K[free][:, free]
             assert np.array_equal(block.data.view(np.uint64), full.data.view(np.uint64))
@@ -330,9 +355,10 @@ def test_spliced_systems_match_a_full_assembly(integrand, datum, centered):
             bi, bj = i // 3, j // 3
             key = ((bi * (bj.max() + 1) + bj) * 2 + (i + j) % 2).astype(full.indices.dtype)
             nc, agg = _aggregates(full, _entry_rows(full), key, _STRONG)
-            spliced_nc, spliced_agg = coarsening.first()
+            spliced_nc, spliced_agg = first()
             assert spliced_nc == nc and np.array_equal(spliced_agg, agg)
-            values, _, _ = solver._solve_quadratic(topo, metric, u, free, 1e-10, True)
+            values, _, _ = solver._solve_quadratic(topo, metric, u, free, 1e-10,
+                                                   partial(_AggregationCycle, nodes=(i, j)))
             cold = bulk_energy(ScalarField(topo, integrand, values))
             _, warm = solve(grid, integrand, datum, crack, _uncracked=uncracked)
             assert abs(warm.bulk_energy - cold) <= 1e-12 * rep0.bulk_energy
@@ -367,7 +393,8 @@ def test_pcg_returns_an_exact_first_iterate_without_building_the_cycle(monkeypat
         build(self, *args, **kwargs)
 
     monkeypatch.setattr(solver._AggregationCycle, "__init__", counted_build)
-    x, iters, res = pcg(A, b, tol=1e-10, x0=exact, nodes=nodes)
+    cycle = partial(_AggregationCycle, nodes=nodes)
+    x, iters, res = pcg(A, b, tol=1e-10, x0=exact, cycle=cycle)
     assert (iters, builds) == (0, []) and res <= 1e-10
     assert np.array_equal(x, exact)
     # a first iterate whose residual sits just inside or just outside the
@@ -376,7 +403,7 @@ def test_pcg_returns_an_exact_first_iterate_without_building_the_cycle(monkeypat
     Ae = np.linalg.norm(A @ e)
     for factor, stops_at_once in ((0.5, True), (2.0, False)):
         x0 = exact + factor * 1e-10 * np.linalg.norm(b) / Ae * e
-        x, iters, res = pcg(A, b, tol=1e-10, x0=x0, nodes=nodes)
+        x, iters, res = pcg(A, b, tol=1e-10, x0=x0, cycle=cycle)
         assert (iters == 0) == stops_at_once and res <= 1e-10
         assert np.linalg.norm(b - A @ x) <= 1.01e-10 * np.linalg.norm(b)
     assert len(builds) == 1
