@@ -331,7 +331,10 @@ def main(argv=None):
             os.makedirs(out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make the output directory: {exc}", "run", "out") from None
-        COMMANDS[args.command](cfg, out, seed)
+        try:
+            COMMANDS[args.command](cfg, out, seed)
+        except OSError as exc:  # past the crack file, a command's file I/O is its output
+            raise ConfigError(f"cannot write an output file: {exc}", "run", "out") from None
         return 0
     except FractureLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,9 +6,14 @@ are solved by Jacobi-preconditioned conjugate gradients; general p-power
 densities by damped Newton with an epsilon-regularized Hessian metric (the
 energy itself is never regularized).  One Newton routine, newton(), serves
 both this bulk solve and the collar problems of the dual bound; each caller
-passes its own exit thresholds.  One routine, _solve_quadratic, assembles,
-slices and solves the quadratic problems outside a landscape: the direct
-p = 2 bulk solve, Newton's warm start and the p = 2 collar problem.
+passes its own exit thresholds.  Its step halves from alpha = 1 until the
+Armijo test passes; when the full step passes and p != 2 it also tries
+alpha = p - 1, where |x|^p / p is least along its Newton step, and keeps
+it if its energy is lower beyond the floating-point floor, which takes the
+p = 1.5 collars of the dual bound in about 3.6 times fewer steps.  One
+routine, _solve_quadratic, assembles, slices and solves the quadratic
+problems outside a landscape: the direct p = 2 bulk solve, Newton's warm
+start and the p = 2 collar problem.
 
 pcg runs Jacobi unless its caller passes a cycle factory; it builds the
 preconditioner only when CG must iterate.  The Newton inner solves pass
@@ -373,8 +378,11 @@ class _AggregationCycle:
         if singular:
             dense[np.diag_indices_from(dense)] += 1e-12 * dense.diagonal().max()
         # packed Cholesky runs on level-2 BLAS; the blocked dpotrf fills BLAS
-        # work buffers that cost about 2 MB of resident memory per process
-        self.coarse, info = dpptrf(len(dense), dense[np.triu_indices(len(dense))], lower=1,
+        # work buffers that cost about 2 MB of resident memory per process;
+        # the packed lower triangle of a symmetric matrix is its row-major
+        # upper one
+        n = len(dense)
+        self.coarse, info = dpptrf(n, dense[~np.tri(n, k=-1, dtype=bool)], lower=1,
                                    overwrite_ap=1)
         if info:
             raise NoConvergence("coarse operator of the aggregation cycle is not "
@@ -836,8 +844,11 @@ def newton(topology, integrand, u, free, *, eps, tol, gtol, stall_gtol, gfloor,
     (eps^2 + |g|^2)^((p-2)/2); energies and gradients are exact.  The first
     iterate solves the quadratic problem with the same coefficient.  deflate:
     orthonormal null vectors of the problem, orthogonal to load, kept out of
-    the gradient and the steps.  A step ends the solve when its energy
-    decrease is at most tol (1 + |E|) and the gradient is at most
+    the gradient and the steps.  The step length halves from 1 until the
+    Armijo test passes; when alpha = 1 passes and p != 2, alpha = p - 1 is
+    evaluated too and kept if its energy is lower by more than the
+    floating-point floor 1e-15 (1 + |E|).  A step ends the solve when its
+    energy decrease is at most tol (1 + |E|) and the gradient is at most
     max(gtol |g0|, gfloor), or when the energy has stopped moving at the
     floating-point floor for three steps with the gradient at most
     stall_gtol |g0|; g0 is the gradient of the first iterate.  Returns
@@ -890,6 +901,18 @@ def newton(topology, integrand, u, free, *, eps, tol, gtol, stall_gtol, gfloor,
             if E_new <= E + 1e-4 * alpha * slope or alpha < 1e-12:
                 break
             alpha *= 0.5
+        if alpha == 1.0 and p != 2.0:
+            # |x|^p / p is least at p - 1 along its Newton step: try it too.
+            # Energies within the floating-point floor of each other do not
+            # order the steps, and there the full step leaves the smaller
+            # gradient for the stagnation exit to accept
+            short = u.copy()
+            short[free] += (p - 1.0) * dx
+            E_short, grad_short, g_short = _energy_and_gradient(
+                topology, integrand, short, free, xc, yc, cells, load, deflate
+            )
+            if E_short < E_new - 1e-15 * (1.0 + abs(E)):
+                trial, E_new, grad_new, g_new = short, E_short, grad_short, g_short
         decrement = E - E_new
         u = trial
         E, grad, g = E_new, grad_new, g_new

@@ -463,6 +463,16 @@ def test_output_path_through_a_file_is_config_error(tmp_path, capsys, flag, belo
     assert taken.read_text() == ""
 
 
+def test_output_file_name_taken_by_a_directory_is_config_error(tmp_path, capsys):
+    # ended in an IsADirectoryError traceback from report.atomic_write (exit 1)
+    cfg, out = write_cfg(tmp_path)
+    (tmp_path / "out" / "field.csv").mkdir(parents=True)
+    assert main(["solve", "--config", cfg]) == 2
+    assert "[run.out]" in capsys.readouterr().err
+    assert (tmp_path / "out" / "field.csv").is_dir()
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["field.csv"]
+
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EXPERIMENTS = ("release_curve", "evolve", "dual_bound", "meyers_verify", "poincare", "classify")
 # the shipped configs at 16^2 and a few steps, so that each run takes milliseconds

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracturelab import solver
+from fracturelab import dual, solver
 from fracturelab.dual import (
     assemble_tau,
     corrector,
@@ -324,10 +324,11 @@ def test_corrector_reports_inner_cg_iterations():
 
 # Reference collar energy ratios, Newton steps and p = 1.5 release bounds,
 # computed while the collar problem had a Newton loop of its own with its own
-# energy formula: the shared loop must reproduce them.
+# energy formula: the shared loop must reproduce them.  The p = 1.5 steps and
+# release bounds are those of Newton's alpha = p - 1 trial step.
 @pytest.mark.parametrize("p, disk, case, ratio, steps", [
-    (1.5, Disk(0.5, 0.5, 0.1), "interior", 0.8881474368130322, 15),
-    (1.5, Disk(0.5, 0.9, 0.1), "neumann", 2.2232091137491166, 55),
+    (1.5, Disk(0.5, 0.5, 0.1), "interior", 0.8881474368130322, 7),
+    (1.5, Disk(0.5, 0.9, 0.1), "neumann", 2.2232091137491166, 10),
     (3.0, Disk(0.5, 0.5, 0.1), "interior", 0.7612790078073088, 6),
     (3.0, Disk(0.5, 0.9, 0.1), "neumann", 1.0605498586681528, 7),
 ])
@@ -346,8 +347,8 @@ def test_release_bound_p15_ladder_keeps_its_values():
     # p = 1.5 to 1e-12; Laplace (Jacobi CG in the collar) and p = 3 bit for bit
     grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 64)
     for integrand, rel, ladder in (
-            (ppower_integrand(1.5), 1e-12, ((12, 0.5222042892809189), (6, 0.11392375252555159),
-                                            (3, 0.04715282483418404))),
+            (ppower_integrand(1.5), 1e-12, ((12, 0.5222042892802184), (6, 0.11392375252555924),
+                                            (3, 0.047152824842202526))),
             (laplace_integrand(), 0.0, ((12, 0.5392250219455613), (6, 0.12087522969036396),
                                         (3, 0.05069862283514186))),
             (ppower_integrand(3.0), 0.0, ((12, 0.19197733472124656), (6, 0.04346069714474336),
@@ -358,6 +359,33 @@ def test_release_bound_p15_ladder_keeps_its_values():
             rb = release_bound(grid, integrand, linear_x, vslit(grid, 32, 32 - n // 2, n), 1,
                                base=base)
             assert abs(rb.bound - bound) <= rel * bound
+
+
+def test_release_bound_p15_ladder_matches_tightly_solved_collars(monkeypatch):
+    # the collar exits stop short of the floating-point floor; what the
+    # ladder's pins guard is the bound of a fully converged collar problem
+    grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 64)
+    integrand = ppower_integrand(1.5)
+    field, _ = solve(grid, integrand, linear_x)
+    base = (field, stress(field))
+    cracks = [vslit(grid, 32, 32 - n // 2, n) for n in (12, 6, 3)]
+    bounds = [release_bound(grid, integrand, linear_x, c, 1, base=base).bound for c in cracks]
+    loose = dual.newton
+    monkeypatch.setattr(dual, "newton", lambda *a, **k: loose(
+        *a, **{**k, "gtol": 1e-11, "stall_gtol": 1e-9, "tol": 1e-16}))
+    for crack, bound in zip(cracks, bounds):
+        ref = release_bound(grid, integrand, linear_x, crack, 1, base=base).bound
+        assert abs(bound - ref) <= 5e-10 * ref
+
+
+def test_collar_newton_keeps_the_full_step_at_the_floating_point_floor():
+    # on this slit the alpha = p - 1 trial step undercuts the full step's
+    # energy by 1e-16 at the floor; keeping it left the collar's gradient at
+    # 2.4e-6 of its first value and the admissibility residual at 1.4e-6
+    grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 128)
+    rb = release_bound(grid, ppower_integrand(1.5), linear_x, vslit(grid, 58, 56, 24), 1)
+    assert rb.tau_residual <= 1e-6
+    assert rb.bound == pytest.approx(0.57564373793213, rel=1e-9)
 
 
 def test_bulk_and_collar_newton_fail_alike_at_the_step_cap(monkeypatch):

@@ -146,6 +146,14 @@ def test_system_below_coarse_size_is_solved_in_one_iteration():
     assert iters == 1 and res <= 1e-10
 
 
+def test_coarse_factor_packing_keeps_the_row_major_upper_triangle():
+    # the cycle packs its coarse operator by a mask in place of np.triu_indices
+    rng = np.random.default_rng(3)
+    for n in range(1, 301):
+        dense = rng.standard_normal((n, n))
+        assert np.array_equal(dense[~np.tri(n, k=-1, dtype=bool)], dense[np.triu_indices(n)])
+
+
 def test_indefinite_system_raises_under_the_cycle():
     A = sp.csr_matrix(np.diag([1.0, -1.0]))
     with pytest.raises(NoConvergence):
