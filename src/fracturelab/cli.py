@@ -126,8 +126,16 @@ def cmd_dual_bound(cfg: ExperimentConfig, out, seed):
         orient = cfg.get("dual_bound", "orientation", "h")
         if orient not in ("h", "v"):
             raise ConfigError(f"must be h or v, got {orient!r}", "dual_bound", "orientation")
-        i0 = int(round((anchor[0] - grid.domain.x0) / grid.h))
-        j0 = int(round((anchor[1] - grid.domain.y0) / grid.h))
+        if not grid.domain.contains(*anchor):
+            raise ConfigError(f"{anchor[0]:g} {anchor[1]:g} is outside the domain",
+                              "dual_bound", "anchor")
+        fi = (anchor[0] - grid.domain.x0) / grid.h
+        fj = (anchor[1] - grid.domain.y0) / grid.h
+        i0, j0 = round(fi), round(fj)
+        snap = max(abs(fi - i0), abs(fj - j0)) * grid.h
+        if snap > 1e-6 * grid.h:        # the snap tolerance of read_crack_file
+            raise ConfigError(f"{anchor[0]:g} {anchor[1]:g} is off the grid's nodes by {snap:g}",
+                              "dual_bound", "anchor")
         for n in lengths:
             if orient == "h":
                 cracks.append(CrackSet(grid, [("h", i0 + kk, j0) for kk in range(n)]))

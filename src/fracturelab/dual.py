@@ -16,19 +16,19 @@ the cracked problem.  For p != 2 a corrector minimizes the collar energy
 sum h^2 |grad v|^p / p - rhs . v with solver.newton, the damped Newton of
 the bulk solve.  For p = 2 it solves the quadratic collar problem with the
 routine of the bulk solve's quadratic forms, on Jacobi-preconditioned CG.
-The conjugate gradient grad_fstar is the base field's Integrand's own, and
-the cutoff's gradients come from the solver's one gradient stencil.
+The conjugate gradient grad_fstar is the base field's Integrand's own.  The
+cutoff is built from each member's metric alone; no gradient of it is taken.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as _cs_components
 
-from .energy import Integrand, ppower_integrand
+from .energy import Integrand, _norm, ppower_integrand
 from .errors import (
     CompatibilityViolated,
     ResidualTooLarge,
@@ -70,8 +70,6 @@ class CutoffField:
     cell_values: np.ndarray
     member_node_values: list
     member_cell_values: list  # each member's cutoff averaged over cell corners
-    member_max_grad: list   # measured max |grad phi_member| at cell centers
-    member_grad_bound: list  # the 2/r style bound per member
 
 
 def cutoff(cover: Cover, grid: Grid) -> CutoffField:
@@ -79,14 +77,10 @@ def cutoff(cover: Cover, grid: Grid) -> CutoffField:
     multiplied over members.  Requires every member scale >= 4h."""
     h = grid.h
     xn, yn = grid.node_xy()
-    xc, yc = grid.cell_centers()
-    topology = cut_grid(grid)
-    corner = topology.cell_dofs
+    corner = grid.cell_corner_nodes()
     phi = np.ones(grid.n_nodes)
     member_vals = []
     member_cells = []
-    max_grads = []
-    bounds = []
     for mem in cover.members:
         if mem.scale < 4 * h * (1 - 1e-9):
             raise UnresolvableCover(
@@ -96,14 +90,8 @@ def cutoff(cover: Cover, grid: Grid) -> CutoffField:
         member_vals.append(vals)
         member_cells.append(vals[corner].mean(axis=1))
         phi *= vals
-        # measured gradient of the discrete nodal ramp, on this member's cells
-        g = cell_gradients(topology, vals)
-        local = mem.metric(xc, yc) < 2.5
-        max_grads.append(float(np.hypot(g[:, 0], g[:, 1])[local].max(initial=0.0)))
-        bounds.append(mem.grad_bound())
     cell_phi = phi[corner].mean(axis=1)
-    return CutoffField(grid, cover, phi, cell_phi, member_vals, member_cells, max_grads,
-                       bounds)
+    return CutoffField(grid, cover, phi, cell_phi, member_vals, member_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +103,6 @@ def cutoff(cover: Cover, grid: Grid) -> CutoffField:
 class Collar:
     """Annular collar of one cover member, as a cell/node index set."""
 
-    member_index: int
     cells: np.ndarray        # cell ids with 0 < phi_member < 1
     nodes: np.ndarray        # dofs incident to those cells
     constrained: np.ndarray  # collar nodes carrying the Dirichlet datum
@@ -139,7 +126,7 @@ def member_collar(phi: CutoffField, member_index: int, base_field: ScalarField) 
         case = DIRICHLET
     else:
         case = MIXED
-    return Collar(member_index, cells, nodes, constrained, case)
+    return Collar(cells, nodes, constrained, case)
 
 
 @dataclass
@@ -152,7 +139,6 @@ class Corrector:
     compat_defect: float
     iterations: int          # Newton steps; CG iterations when p = 2
     inner_iterations: int    # all CG iterations, the Newton warm start included
-    v: np.ndarray = field(repr=False, default=None)
 
 
 def _collar_null_vectors(topology, collar, unknowns):
@@ -179,19 +165,17 @@ def _collar_null_vectors(topology, collar, unknowns):
     return out
 
 
-def corrector(collar: Collar, sigma: np.ndarray, phi: CutoffField, case: str,
+def corrector(collar: Collar, sigma: np.ndarray, phi: CutoffField,
               p: float = 2.0, tol: float = 1e-10, compat_tol: float = 1e-6,
               topology=None) -> Corrector:
     """Solve the collar problem div(|grad v|^(p-2) grad v) = -div(phi sigma).
 
     The flux condition eta . n = 0 on the collar's interior/Neumann boundary
     is natural in the variational form; v = 0 is imposed on Dirichlet collar
-    nodes (cases ``dirichlet`` and ``mixed``); pure-Neumann cases deflate the
-    discrete null space and require the data to be compatible.  Raises
-    NoConvergence when the Newton solve for p != 2 does not finish.
+    nodes (``collar.case`` ``dirichlet`` or ``mixed``); pure-Neumann cases
+    deflate the discrete null space and require the data to be compatible.
+    Raises NoConvergence when the Newton solve for p != 2 does not finish.
     """
-    if case != collar.case:
-        raise ValueError(f"declared case {case!r}, classified {collar.case!r}")
     grid = phi.grid
     if topology is None:
         topology = cut_grid(grid)
@@ -205,7 +189,7 @@ def corrector(collar: Collar, sigma: np.ndarray, phi: CutoffField, case: str,
     rhs = R[unknowns]
     deflate = []
     compat_defect = 0.0
-    if case in (INTERIOR, NEUMANN):
+    if collar.case in (INTERIOR, NEUMANN):
         deflate = _collar_null_vectors(topology, collar, unknowns)
         scale = np.linalg.norm(rhs) + 1e-300
         compat_defect = max(abs(rhs @ q) for q in deflate) / scale
@@ -238,10 +222,10 @@ def corrector(collar: Collar, sigma: np.ndarray, phi: CutoffField, case: str,
     eta = integrand.grad_f(xc, yc, gv)
     q = integrand.q
     sig_c = sigma[collar.cells]
-    num = h2 * float(np.sum(np.linalg.norm(eta, axis=1) ** q))
-    den = h2 * float(np.sum(np.linalg.norm(sig_c, axis=1) ** q))
+    num = h2 * float(np.sum(_norm(eta) ** q))
+    den = h2 * float(np.sum(_norm(sig_c) ** q))
     ratio = num / den if den > 0 else 0.0
-    return Corrector(collar, eta, ratio, compat_defect, iters, inner, v)
+    return Corrector(collar, eta, ratio, compat_defect, iters, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +240,6 @@ class AdmissibleStress:
 
     tau: np.ndarray
     residual: float            # normalized max over free dofs
-    residual_raw: np.ndarray
-    crack: CrackSet
-    topology: object
 
 
 def admissibility_residual(topology, tau, constrained):
@@ -266,7 +247,7 @@ def admissibility_residual(topology, tau, constrained):
     free = np.ones(topology.n_dofs, dtype=bool)
     free[constrained] = False
     scale = topology.grid.h * max(1.0, float(np.abs(tau).max(initial=0.0)))
-    return float(np.abs(r[free]).max(initial=0.0) / scale), r
+    return float(np.abs(r[free]).max(initial=0.0) / scale)
 
 
 def assemble_tau(base_stress: StressField, phi: CutoffField, correctors,
@@ -277,17 +258,17 @@ def assemble_tau(base_stress: StressField, phi: CutoffField, correctors,
     for corr in correctors:
         tau[corr.collar.cells] += corr.eta
     topology = cut_grid(grid, crack)
-    res, raw = admissibility_residual(topology, tau, topology.constrained_dofs())
+    res = admissibility_residual(topology, tau, topology.constrained_dofs())
     if res > residual_tol:
         raise ResidualTooLarge(
             f"admissibility residual {res:.3e} exceeds {residual_tol:.0e}"
         )
-    return AdmissibleStress(tau, res, raw, crack, topology)
+    return AdmissibleStress(tau, res)
 
 
-def duality_gap(tau: AdmissibleStress, base_stress: StressField, cells=None) -> float:
+def duality_gap(tau: AdmissibleStress, base_stress: StressField) -> float:
     """Cell quadrature of (tau - sigma) . (grad_fstar(tau) - grad_fstar(sigma))
-    over cells (all by default), with the base field's conjugate gradient.
+    over all cells, with the base field's conjugate gradient.
 
     Nonnegative by monotonicity of the conjugate gradient; with f = |xi|^2
     it reduces to 1/2 int |tau - sigma|^2.
@@ -296,8 +277,6 @@ def duality_gap(tau: AdmissibleStress, base_stress: StressField, cells=None) -> 
     grad_fstar = base_stress.field.integrand.grad_fstar
     xc, yc = grid.cell_centers()
     t, s = tau.tau, base_stress.sigma
-    if cells is not None:
-        xc, yc, t, s = xc[cells], yc[cells], t[cells], s[cells]
     dg = grad_fstar(xc, yc, t) - grad_fstar(xc, yc, s)
     return grid.h ** 2 * float(np.einsum("ci,ci->", t - s, dg))
 
@@ -308,48 +287,23 @@ def duality_gap(tau: AdmissibleStress, base_stress: StressField, cells=None) -> 
 
 
 @dataclass
-class MemberBound:
-    member_index: int
-    case: str
-    n_collar_cells: int
-    energy_ratio: float
-    compat_defect: float
-    gap_contribution: float
-    holder_terms: dict
-
-
-@dataclass
 class ReleaseBoundReport:
     bound: float
     h1: float
     cover: Cover
-    members: list
     tau_residual: float
     constant_C: float
-
-
-def _holder_terms(sigma, eta, cells, h2, q):
-    """The six split integrals bounding each member's gap contribution."""
-    s = np.linalg.norm(sigma[cells], axis=1)
-    e = np.linalg.norm(eta, axis=1)
-    return {
-        "sigma_q": h2 * float(np.sum(s ** q)),
-        "eta_q": h2 * float(np.sum(e ** q)),
-        "eta_sigma_qm1": h2 * float(np.sum(e * s ** (q - 1.0))),
-        "eta_qm1_sigma": h2 * float(np.sum(e ** (q - 1.0) * s)),
-        "sigma_1": h2 * float(np.sum(s)),
-        "eta_1": h2 * float(np.sum(e)),
-    }
 
 
 def release_bound(grid: Grid, integrand: Integrand, psi, crack: CrackSet, m: int,
                   base=None, tol: float = 1e-10) -> ReleaseBoundReport:
     """Certified upper bound on the bulk-energy release of a crack.
 
-    Pipeline: cover -> cutoff -> correctors -> tau -> duality gap.  ``base``
-    may carry a precomputed (field, stress) pair of the uncracked problem.
-    The correctors and tau are gated at the default tolerances of corrector
-    and assemble_tau (1e-5 for tau of the empty crack).
+    Pipeline: cover -> cutoff -> one corrector per cover member -> tau ->
+    one duality gap over all cells, which is the bound.  ``base`` may carry a
+    precomputed (field, stress) pair of the uncracked problem.  The
+    correctors and tau are gated at the default tolerances of corrector and
+    assemble_tau (1e-5 for tau of the empty crack).
     """
     if base is None:
         base_field, _ = solve(grid, integrand, psi, tol=tol)
@@ -361,39 +315,20 @@ def release_bound(grid: Grid, integrand: Integrand, psi, crack: CrackSet, m: int
         cov = cover_crack(crack, grid.domain, m)
         phi = cutoff(cov, grid)
         tau = assemble_tau(base_stress, phi, [], crack, residual_tol=1e-5)
-        return ReleaseBoundReport(0.0, 0.0, cov, [], tau.residual, 0.0)
+        return ReleaseBoundReport(0.0, 0.0, cov, tau.residual, 0.0)
 
     cover = cover_crack(crack, grid.domain, m)
     phi = cutoff(cover, grid)
     topology0 = base_field.topology
     correctors = []
-    h2 = grid.h ** 2
-    q = integrand.q
     for idx in range(len(cover.members)):
         col = member_collar(phi, idx, base_field)
-        corr = corrector(col, base_stress.sigma, phi, col.case, p=integrand.p,
-                         tol=tol, topology=topology0)
+        corr = corrector(col, base_stress.sigma, phi, p=integrand.p, tol=tol,
+                         topology=topology0)
         correctors.append(corr)
     tau = assemble_tau(base_stress, phi, correctors, crack)
     gap = duality_gap(tau, base_stress)
-
-    members = []
-    for idx, corr in enumerate(correctors):
-        local = np.nonzero(phi.member_cell_values[idx] < 1.0 - _EPS)[0]
-        members.append(
-            MemberBound(
-                member_index=idx,
-                case=corr.collar.case,
-                n_collar_cells=len(corr.collar.cells),
-                energy_ratio=corr.energy_ratio,
-                compat_defect=corr.compat_defect,
-                gap_contribution=duality_gap(tau, base_stress, cells=local),
-                holder_terms=_holder_terms(base_stress.sigma, corr.eta,
-                                           corr.collar.cells, h2, q),
-            )
-        )
-    return ReleaseBoundReport(gap, crack.h1(), cover, members, tau.residual,
-                              cover.constant_C)
+    return ReleaseBoundReport(gap, crack.h1(), cover, tau.residual, cover.constant_C)
 
 
 # ---------------------------------------------------------------------------

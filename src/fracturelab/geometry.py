@@ -697,9 +697,6 @@ class Disk:
         """Ramp width of the cutoff transition (metric 1 -> 2)."""
         return self.r
 
-    def grad_bound(self):
-        return 2.0 / self.r
-
 
 @dataclass(frozen=True)
 class BoundaryRect:
@@ -733,9 +730,6 @@ class BoundaryRect:
     @property
     def scale(self):
         return min(self.hx, self.hy)
-
-    def grad_bound(self):
-        return 2.0 / self.scale
 
 
 @dataclass(frozen=True)

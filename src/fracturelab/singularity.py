@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import RADIAL_SOFT, RADIAL_STIFF
+from .energy import RADIAL_SOFT, RADIAL_STIFF, _norm
 from .errors import DegenerateFit, InvalidProbe, RadiusUnresolvable
 from .solver import ScalarField
 
@@ -35,7 +35,7 @@ def local_energy(field: ScalarField, x, r: float) -> float:
     inside = (xc - px) ** 2 + (yc - py) ** 2 <= r * r
     g = field.gradients()[inside]
     p = field.integrand.p
-    return grid.h ** 2 * float(np.sum(np.linalg.norm(g, axis=1) ** p))
+    return grid.h ** 2 * float(np.sum(_norm(g) ** p))
 
 
 def default_radii(field: ScalarField, x):

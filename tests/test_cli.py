@@ -339,6 +339,8 @@ CHECKERBOARD = "kind = ppower\np = 2\ncoefficient = checkerboard\n"
     ("release-curve", "family", "kind = segments+boundary_debond\nspans = 0"),
     ("release-curve", "family", "kind = segments+boundary_debond\nspans = nan"),
     ("dual-bound", "dual_bound", "anchor = 0"),
+    ("dual-bound", "dual_bound", "anchor = 0.51 0.41"),
+    ("dual-bound", "dual_bound", "anchor = 1e308 0.5"),
     ("release-curve", "family", "kind = circles\nradii = 0.1\ncenter = 0"),
     ("solve", "integrand", "kind = ppower\np = 0"),
     ("meyers-verify", "meyers_verify", "n = 0"),

@@ -18,8 +18,8 @@ from fracturelab.errors import (
     ResidualTooLarge,
     UnresolvableCover,
 )
-from fracturelab.geometry import CrackSet, Cover, Disk, Domain, Grid, cover_crack
-from fracturelab.solver import bulk_energy, solve, stress
+from fracturelab.geometry import CrackSet, Cover, Disk, Domain, Grid, cover_crack, cut_grid
+from fracturelab.solver import bulk_energy, cell_gradients, solve, stress
 
 from conftest import hslit, linear_x, linear_y, vslit
 
@@ -44,7 +44,10 @@ def test_cutoff_single_disk_profile():
     assert np.all(phi.node_values[d >= 0.4] == 1.0)
     inside = (phi.node_values > 0) & (phi.node_values < 1)
     assert inside.any()
-    assert phi.member_max_grad[0] <= (2.0 / 0.2) * 1.2
+    # the discrete ramp's gradient near the member stays within 1.2 times 2/r
+    g = cell_gradients(cut_grid(grid), phi.member_node_values[0])
+    near = cover.members[0].metric(*grid.cell_centers()) < 2.5
+    assert np.hypot(g[:, 0], g[:, 1])[near].max() <= (2.0 / 0.2) * 1.2
 
 
 def test_cutoff_empty_cover_is_one():
@@ -78,7 +81,7 @@ def test_corrector_zero_stress_gives_zero():
     cover = Cover((Disk(0.5, 0.5, 0.1),), 1.0, 1, 0.5)
     phi = cutoff(cover, grid)
     col = member_collar(phi, 0, field)
-    corr = corrector(col, np.zeros((grid.n_cells, 2)), phi, col.case)
+    corr = corrector(col, np.zeros((grid.n_cells, 2)), phi)
     assert np.abs(corr.eta).max() == 0.0
     assert corr.energy_ratio == 0.0
 
@@ -94,21 +97,12 @@ def test_corrector_constant_stress_ratio_stable_under_rescaling():
         phi = cutoff(cover, grid)
         col = member_collar(phi, 0, field)
         assert col.case == "interior"
-        corr = corrector(col, sigma, phi, "interior")
+        corr = corrector(col, sigma, phi)
         assert corr.compat_defect < 1e-6
         ratios.append(corr.energy_ratio)
     ratios = np.asarray(ratios)
     assert ratios.max() < 2.0
     assert ratios.max() / ratios.min() < 1.5  # stable across scales
-
-
-def test_corrector_case_mismatch():
-    grid, field, _ = base_problem(64)
-    cover = Cover((Disk(0.5, 0.5, 0.1),), 1.0, 1, 0.5)
-    phi = cutoff(cover, grid)
-    col = member_collar(phi, 0, field)
-    with pytest.raises(ValueError):
-        corrector(col, np.zeros((grid.n_cells, 2)), phi, "dirichlet")
 
 
 def test_corrector_compatibility_violation():
@@ -120,7 +114,7 @@ def test_corrector_compatibility_violation():
     phi = cutoff(cover, grid)
     col = member_collar(phi, 0, field)
     with pytest.raises(CompatibilityViolated):
-        corrector(col, sigma, phi, "interior", compat_tol=1e-8)
+        corrector(col, sigma, phi, compat_tol=1e-8)
 
 
 # --- assemble_tau / duality gap ---------------------------------------------
@@ -162,7 +156,7 @@ def test_assemble_tau_residual_threshold():
     cover = cover_crack(crack, grid.domain, 1)
     phi = cutoff(cover, grid)
     col = member_collar(phi, 0, field)
-    corr = corrector(col, sf.sigma, phi, col.case)
+    corr = corrector(col, sf.sigma, phi)
     with pytest.raises(ResidualTooLarge):
         assemble_tau(sf, phi, [corr], crack, residual_tol=1e-18)
 
@@ -187,10 +181,6 @@ def test_duality_gap_is_half_l2_distance_for_laplace():
     direct = 0.5 * grid.h ** 2 * np.sum((fake.tau - sf.sigma) ** 2)
     assert gap == pytest.approx(direct, rel=1e-12)
     assert gap >= 0.0
-    # restricted to cells, the gap is the same sum over those cells
-    cells = np.arange(0, grid.n_cells, 3)
-    part = 0.5 * grid.h ** 2 * np.sum((fake.tau[cells] - sf.sigma[cells]) ** 2)
-    assert duality_gap(fake, sf, cells=cells) == pytest.approx(part, rel=1e-12)
 
 
 # --- release bound -------------------------------------------------------------
@@ -215,11 +205,6 @@ def test_release_bound_dominates_measured_release():
         release = bulk_energy(field) - bulk_energy(cracked)
         assert release <= rb.bound + 1e-10
         assert rb.bound > 0.0
-        assert {mb.member_index for mb in rb.members} == set(range(len(rb.cover.members)))
-        for mb in rb.members:
-            assert set(mb.holder_terms) == {
-                "sigma_q", "eta_q", "eta_sigma_qm1", "eta_qm1_sigma", "sigma_1", "eta_1"
-            }
 
 
 def test_release_bound_superlinear_decay_smooth():
@@ -316,9 +301,9 @@ def test_corrector_reports_inner_cg_iterations():
     phi = cutoff(Cover((Disk(0.5, 0.5, 0.1),), 1.0, 1, 0.5), grid)
     col = member_collar(phi, 0, field)
     assert col.case == "interior"
-    corr = corrector(col, stress(field).sigma, phi, "interior", p=1.5)
+    corr = corrector(col, stress(field).sigma, phi, p=1.5)
     assert corr.inner_iterations > corr.iterations >= 1
-    lap = corrector(col, stress(field).sigma, phi, "interior")
+    lap = corrector(col, stress(field).sigma, phi)
     assert lap.inner_iterations == lap.iterations > 0
 
 
@@ -338,7 +323,7 @@ def test_collar_newton_keeps_its_ratios_and_steps(p, disk, case, ratio, steps):
     phi = cutoff(Cover((disk,), 1.0, 1, 0.5), grid)
     col = member_collar(phi, 0, field)
     assert col.case == case
-    corr = corrector(col, stress(field).sigma, phi, case, p=p)
+    corr = corrector(col, stress(field).sigma, phi, p=p)
     assert corr.energy_ratio == pytest.approx(ratio, rel=1e-12)
     assert abs(corr.iterations - steps) <= 1
 
@@ -398,6 +383,6 @@ def test_bulk_and_collar_newton_fail_alike_at_the_step_cap(monkeypatch):
     with pytest.raises(NoConvergence) as bulk:
         solve(grid, integrand, linear_x, vslit(grid, 32, 16, 16))
     with pytest.raises(NoConvergence) as collar:
-        corrector(col, stress(field).sigma, phi, "interior", p=1.5)
+        corrector(col, stress(field).sigma, phi, p=1.5)
     for err in (bulk.value, collar.value):
         assert err.iterations == 1 and np.isfinite(err.residual)
