@@ -18,7 +18,6 @@ from .energy import (
     quadratic_integrand,
 )
 from .geometry import (
-    BoundarySegment,
     CrackSet,
     Cover,
     CutTopology,

@@ -3,8 +3,7 @@
 Subcommands: solve, dual-bound, release-curve, classify, evolve, poincare,
 meyers-verify.  Outputs are CSV tables (plus SVG line plots) written
 atomically into the output directory; reruns with a fixed seed are
-byte-identical.  Every batch is solved serially: --workers and [run] workers
-are validated and have no effect.
+byte-identical.
 """
 
 from __future__ import annotations
@@ -136,6 +135,10 @@ def cmd_dual_bound(cfg: ExperimentConfig, out, seed):
         if snap > 1e-6 * grid.h:        # the snap tolerance of read_crack_file
             raise ConfigError(f"{anchor[0]:g} {anchor[1]:g} is off the grid's nodes by {snap:g}",
                               "dual_bound", "anchor")
+        room = grid.nx - i0 if orient == "h" else grid.ny - j0
+        if max(lengths) > room:
+            raise ConfigError(f"a slit of {max(lengths)} edges leaves the grid; "
+                              f"at most {room} fit from the anchor", "dual_bound", "lengths")
         for n in lengths:
             if orient == "h":
                 cracks.append(CrackSet(grid, [("h", i0 + kk, j0) for kk in range(n)]))
@@ -326,14 +329,12 @@ def main(argv=None):
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config (INI)")
-        p.add_argument("--workers", type=int, default=None, help="no effect (N >= 1)")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="random seed (u64)")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
         out = cfg.out_dir(args.out)
-        cfg.workers(args.workers)
         seed = cfg.seed(args.seed)
         try:
             os.makedirs(out, exist_ok=True)

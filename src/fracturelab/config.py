@@ -90,9 +90,9 @@ class ExperimentConfig:
             raise ConfigError(f"must be {bound}, got {value!r}", section, option)
         return value
 
-    def get_count(self, section, option, default, override=None):
-        """An integer >= 1: override when given, else the option."""
-        n = int(override) if override is not None else self.get_int(section, option, default)
+    def get_count(self, section, option, default):
+        """An integer >= 1."""
+        n = self.get_int(section, option, default)
         if n < 1:
             raise ConfigError(f"must be >= 1, got {n}", section, option)
         return n
@@ -265,11 +265,6 @@ class ExperimentConfig:
         if seed < 0:
             raise ConfigError(f"must be >= 0, got {seed}", "run", "seed")
         return seed
-
-    def workers(self, override=None):
-        """--workers, else [run] workers: validated (>= 1) and otherwise
-        unused, since every batch is solved serially."""
-        return self.get_count("run", "workers", 1, override)
 
     def out_dir(self, override=None):
         return override or self.get("run", "out", "out")

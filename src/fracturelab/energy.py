@@ -57,15 +57,14 @@ class CheckerboardCoefficient:
     c_even: float
     c_odd: float
     block: float
-    origin: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         if not all(0.0 < v < math.inf for v in (self.c_even, self.c_odd, self.block)):
             raise ValueError("checkerboard values and block must be finite and > 0")
 
     def scalar(self, x, y):
-        ix = np.floor((np.asarray(x) - self.origin[0]) / self.block).astype(int)
-        iy = np.floor((np.asarray(y) - self.origin[1]) / self.block).astype(int)
+        ix = np.floor(np.asarray(x) / self.block).astype(int)
+        iy = np.floor(np.asarray(y) / self.block).astype(int)
         return np.where((ix + iy) % 2 == 0, self.c_even, self.c_odd)
 
     def bounds(self):

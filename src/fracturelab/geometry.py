@@ -26,28 +26,9 @@ Edge = tuple  # ("h"|"v", i, j)
 
 
 @dataclass(frozen=True)
-class BoundarySegment:
-    """Piece of one rectangle side, parametrized by the physical coordinate
-    running along that side (y for left/right, x for bottom/top)."""
-
-    side: str
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError(f"unknown side {self.side!r}")
-        if not self.hi > self.lo:
-            raise ValueError("segment needs hi > lo")
-
-    @property
-    def length(self):
-        return self.hi - self.lo
-
-
-@dataclass(frozen=True)
 class Domain:
-    """Axis-aligned rectangle with a Dirichlet/Neumann boundary split."""
+    """Axis-aligned rectangle with a Dirichlet/Neumann boundary split: the
+    Dirichlet part is a tuple of distinct whole side names from SIDES."""
 
     x0: float
     y0: float
@@ -58,36 +39,22 @@ class Domain:
     def __post_init__(self):
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValueError("degenerate rectangle")
-        for seg in self.dirichlet_part:
-            lo, hi = self._side_range(seg.side)
-            if seg.lo < lo - 1e-12 or seg.hi > hi + 1e-12:
-                raise ValueError(f"segment {seg} outside side {seg.side}")
+        for k, side in enumerate(self.dirichlet_part):
+            if side not in SIDES:
+                raise ValueError(f"unknown side {side!r} (choose from {SIDES})")
+            if side in self.dirichlet_part[:k]:
+                raise ValueError(f"side {side!r} is named twice")
 
     @classmethod
     def rectangle(cls, x0, y0, x1, y1, dirichlet="all"):
-        """Build a rectangle domain; `dirichlet` is "all", side names, or
-        explicit BoundarySegment instances."""
-        if dirichlet == "all":
-            dirichlet = SIDES
-        segs = []
-        for item in dirichlet:
-            if isinstance(item, BoundarySegment):
-                segs.append(item)
-            else:
-                lo, hi = cls(x0, y0, x1, y1)._side_range(item)
-                segs.append(BoundarySegment(item, lo, hi))
-        return cls(x0, y0, x1, y1, tuple(segs))
+        """Build a rectangle domain; `dirichlet` is "all" or side names."""
+        return cls(x0, y0, x1, y1, SIDES if dirichlet == "all" else tuple(dirichlet))
 
     @classmethod
     def unit_square(cls, dirichlet="all", centered=False):
         if centered:
             return cls.rectangle(-0.5, -0.5, 0.5, 0.5, dirichlet)
         return cls.rectangle(0.0, 0.0, 1.0, 1.0, dirichlet)
-
-    def _side_range(self, side):
-        if side in ("left", "right"):
-            return self.y0, self.y1
-        return self.x0, self.x1
 
     @property
     def width(self):
@@ -98,7 +65,8 @@ class Domain:
         return self.y1 - self.y0
 
     def dirichlet_length(self):
-        return sum(s.length for s in self.dirichlet_part)
+        return sum(self.height if s in ("left", "right") else self.width
+                   for s in self.dirichlet_part)
 
     def contains(self, x, y):
         return (self.x0 - 1e-12 <= x <= self.x1 + 1e-12) and (
@@ -250,17 +218,11 @@ class Grid:
         return np.unique(np.concatenate([self.side_nodes(s) for s in SIDES]))
 
     def dirichlet_nodes(self):
-        """Node ids lying on the closure of the Dirichlet part."""
-        out = []
-        tol = 1e-9 * self.h
-        for seg in self.domain.dirichlet_part:
-            ids = self.side_nodes(seg.side)
-            x, y = self.node_xy(ids)
-            t = y if seg.side in ("left", "right") else x
-            out.append(ids[(t >= seg.lo - tol) & (t <= seg.hi + tol)])
-        if not out:
+        """Sorted node ids on the Dirichlet sides, corners included."""
+        part = self.domain.dirichlet_part
+        if not part:
             return np.empty(0, dtype=int)
-        return np.unique(np.concatenate(out))
+        return np.unique(np.concatenate([self.side_nodes(s) for s in part]))
 
     def boundary_edges(self, side):
         nx, ny = self.nx, self.ny

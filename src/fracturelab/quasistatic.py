@@ -70,8 +70,9 @@ def evolve(landscape: EnergyLandscape, family: CrackFamily, k: float,
     set at each step is {previous} + {previous union member}, rebuilt with its
     unit-datum energies only when the crack changes.  Energies and external
     powers at unit datum are read from the landscape, which solves a crack
-    only when nothing cached it.  workers is accepted and ignored: candidates
-    are solved serially, and callers that pass it keep working.
+    only when nothing cached it.  workers is ignored: candidates are solved
+    serially.  It stays only for the benchmark's positional 1, and goes with
+    the first change to bench/ (ROADMAP item E).
     """
     integrand = landscape.integrand
     if integrand.kind not in (PPOWER, QUADRATIC):

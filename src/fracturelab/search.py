@@ -221,7 +221,7 @@ def boundary_debond_family(grid: Grid, spans) -> CrackFamily:
     full side.
     """
     members = []
-    for side in sorted({seg.side for seg in grid.domain.dirichlet_part}):
+    for side in sorted(grid.domain.dirichlet_part):
         all_edges = grid.boundary_edges(side)
         n = len(all_edges)
         for span in spans:
@@ -318,8 +318,9 @@ def release_curve(landscape: EnergyLandscape, family: CrackFamily, budgets,
                   k: float = 1.0, workers: int = 1) -> ReleaseCurve:
     """W(l) and release rates over a decreasing budget ladder.
 
-    workers is accepted and ignored: candidates are solved serially, and
-    callers that pass a worker count positionally keep working.
+    workers is ignored: candidates are solved serially.  It stays only for
+    the benchmark's positional 1, and goes with the first change to bench/
+    (ROADMAP item E).
     """
     budgets = list(budgets)
     if not budgets or sorted(budgets, reverse=True) != budgets:

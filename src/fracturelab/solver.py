@@ -544,7 +544,7 @@ def _dirichlet_setup(topology: CutTopology, psi):
     """Constrained dofs, and the fixed dofs with their values: the datum on
     the constrained ones, 0 on CutTopology.floating_dofs."""
     grid = topology.grid
-    if not grid.domain.dirichlet_part or len(grid.dirichlet_nodes()) == 0:
+    if not grid.domain.dirichlet_part:
         raise SingularSystem("domain declares no Dirichlet boundary")
     constrained = topology.constrained_dofs()
     x, y = grid.node_xy(constrained)

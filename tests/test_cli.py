@@ -112,14 +112,12 @@ steps = 40
 k = 1.0
 """
     cfg, out = write_cfg(tmp_path, extra)
-    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "w1"),
-                 "--workers", "1"]) == 0
-    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "w3"),
-                 "--workers", "3"]) == 0
-    a = read(tmp_path / "w1" / "trajectory.csv")
-    b = read(tmp_path / "w3" / "trajectory.csv")
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert main(["evolve", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    a = read(tmp_path / "a" / "trajectory.csv")
+    b = read(tmp_path / "b" / "trajectory.csv")
     assert a == b
-    assert (tmp_path / "w1" / "h1.svg").exists()
+    assert (tmp_path / "a" / "h1.svg").exists()
 
 
 def test_dual_bound_subcommand(tmp_path):
@@ -214,8 +212,7 @@ resolution = 24
 """
     cfg, out = write_cfg(tmp_path, extra)
     assert main(["poincare", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
-    assert main(["poincare", "--config", cfg, "--out", str(tmp_path / "b"),
-                 "--workers", "2"]) == 0
+    assert main(["poincare", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
     assert read(tmp_path / "a" / "poincare.csv") == read(tmp_path / "b" / "poincare.csv")
 
 
@@ -366,6 +363,10 @@ CHECKERBOARD = "kind = ppower\np = 2\ncoefficient = checkerboard\n"
     ("solve", "domain", "rect = 0 0 0 1"),
     ("solve", "domain", "rect = 0 0 1 inf"),
     ("solve", "domain", "rect = 0 0 1e-320 1"),
+    ("solve", "domain", "dirichlet = left middle"),
+    ("solve", "domain", "dirichlet = all left"),
+    # a repeated side counted twice in H^1 of the Dirichlet part, so evolve's T_debond was off
+    ("solve", "domain", "dirichlet = left left right"),
     ("solve", "integrand", CHECKERBOARD + "values = 1 2\nblock = 0"),
     ("solve", "integrand", CHECKERBOARD + "values = 1 2\nblock = nan"),
     ("solve", "integrand", CHECKERBOARD + "block = 0.25\nvalues = 1 nan"),
@@ -419,13 +420,28 @@ def test_grid_above_two_to_the_twenty_cells_is_config_error(tmp_path, capsys, mo
         main([command, "--config", str(cfg)])
 
 
-@pytest.mark.parametrize("flag, line", [(["--workers", "0"], ""),
-                                        (["--workers", "-4"], "workers = 2"),
-                                        ([], "workers = 0")])
-def test_worker_count_below_one_is_config_error(tmp_path, capsys, flag, line):
-    cfg = cfg_with(tmp_path, "run", line)
-    assert main(["solve", "--config", cfg, *flag]) == 2
-    assert "[run.workers]" in capsys.readouterr().err
+def test_workers_flag_is_gone(tmp_path, capsys):
+    cfg, _ = write_cfg(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", cfg, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def test_dual_bound_slit_off_the_grid_is_config_error(tmp_path, capsys, monkeypatch):
+    # 0.875 at 32^2 is node 28: four h edges fit before the right side, and
+    # a slit of eight once failed as a geometry error (exit 3) naming no option
+    monkeypatch.setattr("fracturelab.cli.release_bound", refuse)
+    for orientation, anchor, lengths in [("h", "0.875 0.5", "8"), ("h", "0.875 0.5", "2 5"),
+                                         ("v", "0.5 0.875", "5")]:
+        cfg, _ = write_cfg(tmp_path, f"\n[dual_bound]\nanchor = {anchor}\n"
+                                     f"orientation = {orientation}\nlengths = {lengths}\n")
+        assert main(["dual-bound", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "[dual_bound.lengths]" in err and "at most 4" in err
+    cfg, _ = write_cfg(tmp_path, "\n[dual_bound]\nanchor = 0.875 0.5\norientation = h\nlengths = 4\n")
+    with pytest.raises(Reached):
+        main(["dual-bound", "--config", cfg])
 
 
 @pytest.mark.parametrize("budgets", ["", "0.03 0.06"])

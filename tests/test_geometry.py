@@ -34,6 +34,19 @@ def test_cell_centers_match_the_per_cell_formula():
     assert np.array_equal(y, grid.domain.y0 + (j + 0.5) * grid.h)
 
 
+def test_dirichlet_part_is_whole_distinct_sides():
+    dom = Domain.rectangle(-0.3, 0.7, 1.7, 1.7, ("top", "left"))
+    assert dom.dirichlet_part == ("top", "left")
+    assert dom.dirichlet_length() == 3.0
+    grid = Grid(dom, 48, 24)
+    union = np.union1d(grid.side_nodes("top"), grid.side_nodes("left"))
+    assert np.array_equal(grid.dirichlet_nodes(), union)
+    assert Domain.unit_square().dirichlet_part == geometry.SIDES
+    for bad in [("left", "left"), ("left", "middle")]:
+        with pytest.raises(ValueError):
+            Domain.unit_square(dirichlet=bad)
+
+
 # --- H1 measure -------------------------------------------------------------
 
 
@@ -320,7 +333,7 @@ def test_parity_pins_of_cracks_without_cycles_match_the_labelling(monkeypatch):
         cracks = [random_union(grid, rng) for _ in range(60)]
         # debond the Dirichlet sides but for their last k edges, which
         # leaves the datum on no node, on one or on both parities
-        debond = [e for seg in grid.domain.dirichlet_part for e in grid.boundary_edges(seg.side)]
+        debond = [e for side in grid.domain.dirichlet_part for e in grid.boundary_edges(side)]
         cracks += [CrackSet(grid, debond[:-k]).union(slit)
                    for k in (1, 2, 3) for slit in (CrackSet(grid), vslit(grid, 6, 3, 5))]
         for crack in cracks:
