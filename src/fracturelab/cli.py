@@ -63,6 +63,11 @@ def _grid_label(grid: Grid):
     return f"{grid.nx}x{grid.ny}"
 
 
+def _problem(cfg: ExperimentConfig):
+    """The grid, integrand, datum and solver tolerance of a config."""
+    return cfg.build_grid(), cfg.build_integrand(), cfg.build_datum(), cfg.tol()
+
+
 def _crack_file(cfg: ExperimentConfig, section, grid: Grid):
     """The crack of [section] crack_file, or None when none is given."""
     path = cfg.get(section, "crack_file", None)
@@ -78,13 +83,12 @@ def _crack_file(cfg: ExperimentConfig, section, grid: Grid):
 
 
 def cmd_solve(cfg: ExperimentConfig, out, seed):
-    grid = cfg.build_grid()
-    integrand = cfg.build_integrand()
-    psi = cfg.build_datum()
+    grid, integrand, psi, tol = _problem(cfg)
     crack = _crack_file(cfg, "run", grid) or CrackSet(grid)
-    field, rep = solve(grid, integrand, psi, crack, tol=cfg.tol())
+    k = cfg.get_bounded("run", "toughness", 1.0)
+    cfg.reject_unread()
+    field, rep = solve(grid, integrand, psi, crack, tol=tol)
     sf = stress(field)
-    k = cfg.toughness()
 
     topo = field.topology
     i, j = grid.node_ij(topo.dof_node)
@@ -110,11 +114,8 @@ def cmd_solve(cfg: ExperimentConfig, out, seed):
 
 
 def cmd_dual_bound(cfg: ExperimentConfig, out, seed):
-    grid = cfg.build_grid()
-    integrand = cfg.build_integrand()
-    psi = cfg.build_datum()
+    grid, integrand, psi, tol = _problem(cfg)
     m = cfg.get_count("dual_bound", "m", 1)
-    tol = cfg.tol()
     crack = _crack_file(cfg, "dual_bound", grid)
     cracks = []
     if crack is not None:
@@ -144,6 +145,7 @@ def cmd_dual_bound(cfg: ExperimentConfig, out, seed):
                 cracks.append(CrackSet(grid, [("h", i0 + kk, j0) for kk in range(n)]))
             else:
                 cracks.append(CrackSet(grid, [("v", i0, j0 + kk) for kk in range(n)]))
+    cfg.reject_unread()
 
     base_field, _ = solve(grid, integrand, psi, tol=tol)
     base_stress = stress(base_field)
@@ -171,11 +173,9 @@ def cmd_dual_bound(cfg: ExperimentConfig, out, seed):
 
 
 def cmd_release_curve(cfg: ExperimentConfig, out, seed):
-    grid = cfg.build_grid()
-    integrand = cfg.build_integrand()
-    psi = cfg.build_datum()
+    grid, integrand, psi, tol = _problem(cfg)
     family = cfg.build_family(grid)
-    k = cfg.toughness("release_curve")
+    k = cfg.get_bounded("release_curve", "k", 1.0)
     option = "budgets"
     budgets = cfg.get_floats("release_curve", "budgets", None)
     if budgets is None:
@@ -186,7 +186,8 @@ def cmd_release_curve(cfg: ExperimentConfig, out, seed):
     if not all(0 < b < math.inf for b in budgets):     # an l_max ladder can underflow to 0
         raise ConfigError(f"every budget must be finite and > 0, got {budgets}",
                           "release_curve", option)
-    landscape = EnergyLandscape(grid, integrand, psi, tol=cfg.tol())
+    cfg.reject_unread()
+    landscape = EnergyLandscape(grid, integrand, psi, tol=tol)
     try:
         curve = release_curve(landscape, family, budgets, k)
     except ValueError as exc:
@@ -204,9 +205,7 @@ def cmd_release_curve(cfg: ExperimentConfig, out, seed):
 
 
 def cmd_classify(cfg: ExperimentConfig, out, seed):
-    grid = cfg.build_grid()
-    integrand = cfg.build_integrand()
-    psi = cfg.build_datum()
+    grid, integrand, psi, tol = _problem(cfg)
     probes = []
     for chunk in cfg.get("classify", "probes", required=True).split(";"):
         try:
@@ -219,7 +218,8 @@ def cmd_classify(cfg: ExperimentConfig, out, seed):
         probes.append(xy)
     margin = cfg.get_bounded("classify", "margin", 0.1, closed=True)
     crack = _crack_file(cfg, "classify", grid)
-    field, _ = solve(grid, integrand, psi, crack, tol=cfg.tol())
+    cfg.reject_unread()
+    field, _ = solve(grid, integrand, psi, crack, tol=tol)
     rep = classify(field, probes, margin=margin)
     rows = [(p.x, p.y, p.alpha, p.C, p.classification, p.delta) for p in rep.probes]
     report.write_csv(os.path.join(out, "singularity.csv"),
@@ -230,14 +230,13 @@ def cmd_classify(cfg: ExperimentConfig, out, seed):
 
 
 def cmd_evolve(cfg: ExperimentConfig, out, seed):
-    grid = cfg.build_grid()
-    integrand = cfg.build_integrand()
-    psi = cfg.build_datum()
+    grid, integrand, psi, tol = _problem(cfg)
     family = cfg.build_family(grid)
-    k = cfg.toughness("evolve")
+    k = cfg.get_bounded("evolve", "k", 1.0)
     horizon = cfg.get_bounded("evolve", "horizon")
     steps = cfg.get_count("evolve", "steps", 200)
-    landscape = EnergyLandscape(grid, integrand, psi, tol=cfg.tol())
+    cfg.reject_unread()
+    landscape = EnergyLandscape(grid, integrand, psi, tol=tol)
     traj = evolve(landscape, family, k, horizon, steps)
     rows = [(float(traj.t[j]), float(traj.h1[j]), float(traj.bulk[j]),
              float(traj.surface[j]), float(traj.total[j]), float(traj.work[j]),
@@ -266,6 +265,7 @@ def cmd_poincare(cfg: ExperimentConfig, out, seed):
     resolution = cfg.get_count("poincare", "resolution", 48)
     check_cells(resolution * M, "poincare", "resolution")     # keeps ceil finite
     check_cells(resolution * math.ceil(resolution * M), "poincare", "resolution")  # a mesh
+    cfg.reject_unread()
     sweep = uniformity_sweep(L, M, samples, case, nx=resolution, seed=seed)
     rows = [(case, L, M, idx, c, resolution) for idx, c in enumerate(sweep.constants)]
     report.write_csv(os.path.join(out, "poincare.csv"),
@@ -289,6 +289,8 @@ def cmd_meyers_verify(cfg: ExperimentConfig, out, seed):
     if n < 2:
         raise ConfigError(f"must be >= 2, got {n}", "meyers_verify", "n")
     check_cells(n * n, "meyers_verify", "n")
+    tol = cfg.tol()
+    cfg.reject_unread()
     domain = Domain.unit_square(dirichlet="all", centered=True)
     grid = Grid(domain, n)
     rows = []
@@ -296,7 +298,7 @@ def cmd_meyers_verify(cfg: ExperimentConfig, out, seed):
         gamma = meyers_gamma(K, orientation)
         integrand = meyers_integrand(K, orientation)
         psi = meyers_profile(K, orientation)
-        field, _ = solve(grid, integrand, psi, tol=cfg.tol())
+        field, _ = solve(grid, integrand, psi, tol=tol)
         origin = classify(field, [(0.0, 0.0)]).probes[0]
         alpha, cls = origin.alpha, origin.classification
         rows.append((orientation, gamma, 2.0 * gamma, alpha, cls))

@@ -2,13 +2,18 @@
 
 Every referenced kind (integrand, datum, family) is looked up in an explicit
 registry; unknown or missing fields raise ConfigError naming the field.
+Every read goes through ExperimentConfig.get, which records it, and a
+command calls reject_unread before its first solve: an option that the
+command never read (a misspelling, a section of another command, a datum
+scale that its kind ignores) is a ConfigError naming it.  --out and --seed
+count as reads of the [run] options they override.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,10 +53,12 @@ class ExperimentConfig:
 
     parser: configparser.ConfigParser
     path: str
+    read: set = field(default_factory=set)     # (section, option) pairs looked up
 
     # --- raw access ----------------------------------------------------------
 
     def get(self, section, option, default=None, required=False):
+        self.read.add((section, self.parser.optionxform(option)))
         if not self.parser.has_option(section, option):
             if required:
                 raise ConfigError("missing required option", section, option)
@@ -60,6 +67,14 @@ class ExperimentConfig:
             return self.parser.get(section, option)
         except configparser.InterpolationError as exc:    # a stray '%'
             raise ConfigError(str(exc), section, option) from None
+
+    def reject_unread(self):
+        """ConfigError naming the first option, in file order, that is set
+        but that nothing read."""
+        for section in self.parser.sections():
+            for option in self.parser.options(section):
+                if (section, option) not in self.read:
+                    raise ConfigError("set, but this command does not read it", section, option)
 
     def get_float(self, section, option, default=None, required=False):
         raw = self.get(section, option, None, required)
@@ -154,7 +169,7 @@ class ExperimentConfig:
         try:
             return Grid(domain, n, ny)
         except ValueError as exc:
-            raise ConfigError(str(exc), "grid", "n") from None
+            raise ConfigError(str(exc), "grid", "ny" if ny is not None and n >= 2 else "n") from None
 
     def build_integrand(self):
         kind = self.get("integrand", "kind", required=True)
@@ -205,7 +220,8 @@ class ExperimentConfig:
 
     def build_datum(self):
         kind = self.get("datum", "kind", required=True)
-        scale = self.get_float("datum", "scale", 1.0)
+        if kind in ("linear_x", "linear_y", "meyers_trace"):
+            scale = self.get_float("datum", "scale", 1.0)
         if kind == "constant":
             value = self.get_float("datum", "value", required=True)
             return lambda x, y: np.full_like(np.asarray(x, dtype=float), value)
@@ -261,21 +277,18 @@ class ExperimentConfig:
 
     def seed(self, override=None):
         """--seed, else [run] seed (default 0); an integer >= 0."""
+        self.read.add(("run", "seed"))
         seed = int(override) if override is not None else self.get_int("run", "seed", 0)
         if seed < 0:
             raise ConfigError(f"must be >= 0, got {seed}", "run", "seed")
         return seed
 
     def out_dir(self, override=None):
+        self.read.add(("run", "out"))
         return override or self.get("run", "out", "out")
 
     def tol(self):
         return self.get_bounded("run", "tol", 1e-10, below=1.0)
-
-    def toughness(self, section=None):
-        """[section] k, else [run] toughness (default 1); the paper's k > 0."""
-        k = self.get_bounded("run", "toughness", 1.0)
-        return k if section is None else self.get_bounded(section, "k", k)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -197,7 +197,6 @@ def rigid_motion_basis(gd: GraphDomain):
 class ConstantReport:
     case: str
     C: float
-    lambda_min: float
     extremal: np.ndarray
     resolution: tuple
     iterations: int
@@ -285,7 +284,7 @@ def optimal_constant(gd: GraphDomain, case: str) -> ConstantReport:
         num = abs(c @ (Mm @ x))
         den = math.sqrt((c @ (Mm @ c)) * (x @ (Mm @ x)))
         resid = max(resid, num / den)
-    return ConstantReport(case, 1.0 / lam, lam, x, (gd.nx, gd.ny), iters, resid, gd)
+    return ConstantReport(case, 1.0 / lam, x, (gd.nx, gd.ny), iters, resid, gd)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +299,6 @@ class SweepReport:
     M: float
     constants: list
     max_C: float
-    worst_index: int
     max_first_half: float
 
     def stability_ratio(self):
@@ -335,4 +333,4 @@ def uniformity_sweep(L, M, samples: int, case: str, nx: int = 48,
         raise EigenNoConvergence("sweep produced a non-finite constant")
     half = max(1, samples // 2)
     return SweepReport(case, L, M, list(map(float, constants)), max_c,
-                       int(arr.argmax()), float(arr[:half].max()))
+                       float(arr[:half].max()))

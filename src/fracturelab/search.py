@@ -262,12 +262,8 @@ def concat_families(*fams) -> CrackFamily:
 
 @dataclass
 class MinimizeResult:
-    budget: float
-    k: float
-    n_candidates: int
     W: float                    # min bulk over the admissible candidates
     bulk_argmin_id: int         # -1 is the empty crack
-    bulk_argmin: CrackSet
     total: float                # min bulk + k H1
     total_argmin_id: int
     total_argmin: CrackSet
@@ -290,17 +286,7 @@ def minimize_total(landscape: EnergyLandscape, family: CrackFamily,
     totals = [b + k * c.h1() for b, (_, c) in zip(bulks, cands)]
     ib = argmin_with_tolerance(bulks)
     it = argmin_with_tolerance(totals)
-    return MinimizeResult(
-        budget=budget,
-        k=k,
-        n_candidates=len(cands),
-        W=bulks[ib],
-        bulk_argmin_id=cands[ib][0],
-        bulk_argmin=cands[ib][1],
-        total=totals[it],
-        total_argmin_id=cands[it][0],
-        total_argmin=cands[it][1],
-    )
+    return MinimizeResult(bulks[ib], cands[ib][0], totals[it], cands[it][0], cands[it][1])
 
 
 @dataclass
@@ -309,7 +295,6 @@ class ReleaseCurve:
     W: list
     rates: list                # (W(0) - W(l)) / l
     argmin_ids: list
-    argmin_cracks: list
     totals: list
     W0: float
 
@@ -326,21 +311,18 @@ def release_curve(landscape: EnergyLandscape, family: CrackFamily, budgets,
     if not budgets or sorted(budgets, reverse=True) != budgets:
         raise ValueError("budgets must be a non-empty decreasing list")
     W0 = landscape.bulk()
-    Ws, rates, ids, cracks, totals = [], [], [], [], []
+    Ws, rates, ids, totals = [], [], [], []
     for l in budgets:
         res = minimize_total(landscape, family, l, k)
         Ws.append(res.W)
         rates.append((W0 - res.W) / l if l > 0 else 0.0)
         ids.append(res.bulk_argmin_id)
-        cracks.append(res.bulk_argmin)
         totals.append(res.total)
-    return ReleaseCurve(budgets, Ws, rates, ids, cracks, totals, W0)
+    return ReleaseCurve(budgets, Ws, rates, ids, totals, W0)
 
 
 @dataclass
 class LocalizationReport:
-    x_sing: tuple
-    neighborhoods: list       # radii
     thresholds: list          # largest budget below which all minimizers meet U
 
 def localization_check(minimizers, x_sing, neighborhoods, grid: Grid) -> LocalizationReport:
@@ -369,4 +351,4 @@ def localization_check(minimizers, x_sing, neighborhoods, grid: Grid) -> Localiz
             else:
                 break
         thresholds.append(best)
-    return LocalizationReport((px, py), list(neighborhoods), thresholds)
+    return LocalizationReport(thresholds)

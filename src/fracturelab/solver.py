@@ -516,7 +516,6 @@ class StressField:
 
     field: ScalarField
     sigma: np.ndarray           # (n_cells, 2)
-    residual_per_dof: np.ndarray
     div_residual: float         # normalized max at interior free dofs
     neumann_residual: float     # normalized max at boundary / crack-face dofs
 
@@ -952,7 +951,7 @@ def stress(field: ScalarField) -> StressField:
     other = free[~is_interior]
     div_res = float(np.abs(r[interior]).max(initial=0.0) / scale)
     neu_res = float(np.abs(r[other]).max(initial=0.0) / scale)
-    return StressField(field, sigma, r, div_res, neu_res)
+    return StressField(field, sigma, div_res, neu_res)
 
 
 def bulk_energy(field: ScalarField) -> float:

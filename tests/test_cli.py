@@ -22,7 +22,12 @@ kind = laplace
 kind = linear_x
 
 [run]
-toughness = 1.0
+seed = 0
+out = {out}
+"""
+# the config of a command that builds no grid (poincare, meyers-verify)
+RUN = """
+[run]
 seed = 0
 out = {out}
 """
@@ -69,7 +74,7 @@ def test_config_error_naming_field():
 
 
 def test_release_curve_and_classify_outputs(tmp_path):
-    extra = """
+    curve_extra = """
 [family]
 kind = segments
 stride = 32
@@ -79,15 +84,16 @@ orientations = v
 [release_curve]
 l_max = 0.13
 levels = 3
-
+"""
+    classify_extra = """
 [classify]
 probes = 0.5 0.5 ; 0.4 0.6
 """
-    cfg, out = write_cfg(tmp_path, extra)
-    text = open(cfg).read().replace("n = 32", "n = 128")
-    open(cfg, "w").write(text)
-    assert main(["release-curve", "--config", cfg]) == 0
-    assert main(["classify", "--config", cfg]) == 0
+    for command, extra in [("release-curve", curve_extra), ("classify", classify_extra)]:
+        cfg, out = write_cfg(tmp_path, extra, name=f"{command}.ini")
+        text = open(cfg).read().replace("n = 32", "n = 128")
+        open(cfg, "w").write(text)
+        assert main([command, "--config", cfg]) == 0
     curve = (tmp_path / "out" / "curve.csv").read_text().splitlines()
     assert curve[0] == "l,W,rate,argmin_id,total_energy"
     assert len(curve) == 5  # header + 3 budgets + meta
@@ -148,7 +154,7 @@ M = 2.0
 samples = 3
 resolution = 24
 """
-    cfg, out = write_cfg(tmp_path, extra)
+    cfg, out = write_cfg(tmp_path, extra, base=RUN)
     assert main(["poincare", "--config", cfg]) == 0
     rows = (tmp_path / "out" / "poincare.csv").read_text().splitlines()
     assert rows[0] == "case,L,M,profile_id,C,resolution"
@@ -175,7 +181,7 @@ def test_unreadable_crack_file_is_config_error(tmp_path, capsys, command, sectio
         path.mkdir()
     elif kind == "binary":
         path.write_bytes(b"\xff\xfe\x00 0 0 1\n")
-    cfg = cfg_with(tmp_path, section, f"crack_file = {path}")
+    cfg = cfg_with(tmp_path, command, section, f"crack_file = {path}")
     assert main([command, "--config", cfg]) == 2
     assert f"[{section}.crack_file]" in capsys.readouterr().err
 
@@ -187,7 +193,7 @@ def test_crack_file_coordinate_must_be_a_finite_number(tmp_path, capsys, command
     # x and nan ended in a ValueError traceback, inf in an OverflowError (exit 1)
     path = tmp_path / "crack.txt"
     path.write_text(f"# a slit\n0.5 0.25 0.5 0.28125\n0.5 0.28125 {coord} 0.3125\n")
-    cfg = cfg_with(tmp_path, section, f"crack_file = {path}")
+    cfg = cfg_with(tmp_path, command, section, f"crack_file = {path}")
     assert main([command, "--config", cfg]) == 3
     assert f"{path}:3: coordinates must be finite" in capsys.readouterr().err
 
@@ -210,7 +216,7 @@ M = 2.0
 samples = 3
 resolution = 24
 """
-    cfg, out = write_cfg(tmp_path, extra)
+    cfg, out = write_cfg(tmp_path, extra, base=RUN)
     assert main(["poincare", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
     assert main(["poincare", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
     assert read(tmp_path / "a" / "poincare.csv") == read(tmp_path / "b" / "poincare.csv")
@@ -247,46 +253,30 @@ def test_quadratic_takes_only_a_constant_coefficient(tmp_path, capsys, coefficie
     assert named in err and "[integrand.coefficient]" in err
 
 
-SMALL_RUNS = """
+FAMILY = """
 [family]
 kind = segments
 stride = 16
 lengths = 2
 orientations = v
-
-[release_curve]
-l_max = 0.07
-levels = 2
-
-[evolve]
-horizon = 1.0
-steps = 4
-
-[poincare]
-case = ii
-L = 1.0
-M = 2.0
-samples = 1
-resolution = 8
-
-[dual_bound]
-anchor = 0.5 0.40625
-orientation = v
-lengths = 3
-
-[classify]
-probes = 0.5 0.5
 """
+# a small run of each command, with only the sections that command reads
+SMALL_RUNS = {
+    "solve": BASE,
+    "release-curve": BASE + FAMILY + "\n[release_curve]\nl_max = 0.07\nlevels = 2\n",
+    "evolve": BASE + FAMILY + "\n[evolve]\nhorizon = 1.0\nsteps = 4\n",
+    "poincare": RUN + "\n[poincare]\ncase = ii\nL = 1.0\nM = 2.0\nsamples = 1\nresolution = 8\n",
+    "dual-bound": BASE + "\n[dual_bound]\nanchor = 0.5 0.40625\norientation = v\nlengths = 3\n",
+    "classify": BASE + "\n[classify]\nprobes = 0.5 0.5\n",
+    "meyers-verify": RUN + "\n[meyers_verify]\nn = 16\n",
+}
 
 
-def cfg_with(tmp_path, section, line):
-    """BASE plus a small family and runs, with line added to [section] in
-    place of the option of that name there.
-
-    BASE's toughness = 1.0 is the default, so it is dropped for line to set it.
-    """
-    cfg, _ = write_cfg(tmp_path, SMALL_RUNS)
-    text = open(cfg).read().replace("toughness = 1.0\n", "")
+def cfg_with(tmp_path, command, section, line):
+    """The small run of command, with line added to [section] in place of
+    the option of that name there."""
+    cfg, _ = write_cfg(tmp_path, base=SMALL_RUNS[command])
+    text = open(cfg).read()
     head, _, rest = text.partition(f"[{section}]\n")
     body, nxt, tail = rest.partition("\n[")
     option = line.partition(" = ")[0]
@@ -298,7 +288,7 @@ def cfg_with(tmp_path, section, line):
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-10", "1"])
 def test_tol_outside_zero_one_is_config_error(tmp_path, capsys, tol):
     # tol = inf stopped pcg after one iteration and printed a wrong W0 with exit 0
-    cfg = cfg_with(tmp_path, "run", f"tol = {tol}")
+    cfg = cfg_with(tmp_path, "release-curve", "run", f"tol = {tol}")
     assert main(["release-curve", "--config", cfg]) == 2
     assert "[run.tol]" in capsys.readouterr().err
 
@@ -311,7 +301,7 @@ def test_tol_outside_zero_one_is_config_error(tmp_path, capsys, tol):
     ("evolve", "evolve", "k = -1"),
 ])
 def test_toughness_must_be_finite_and_positive(tmp_path, capsys, command, section, line):
-    cfg = cfg_with(tmp_path, section, line)
+    cfg = cfg_with(tmp_path, command, section, line)
     assert main([command, "--config", cfg]) == 2
     assert f"[{section}.{line.split()[0]}]" in capsys.readouterr().err
 
@@ -376,7 +366,7 @@ CHECKERBOARD = "kind = ppower\np = 2\ncoefficient = checkerboard\n"
 def test_out_of_range_value_is_config_error(tmp_path, capsys, command, section, line):
     # each of these ended in a traceback (exit 1), ran on (exit 0) or failed
     # as a solver error (exit 4); the option named is that of the last line
-    cfg = cfg_with(tmp_path, section, line)
+    cfg = cfg_with(tmp_path, command, section, line)
     assert main([command, "--config", cfg]) == 2
     assert f"[{section}.{line.splitlines()[-1].split()[0]}]" in capsys.readouterr().err
 
@@ -406,7 +396,7 @@ def test_grid_above_two_to_the_twenty_cells_is_config_error(tmp_path, capsys, mo
     monkeypatch.setattr("fracturelab.poincare.GraphDomain.build", refuse)
     cfg = tmp_path / "big.ini"
     ini = configparser.ConfigParser()
-    ini.read_string(BASE.format(out=tmp_path / "out") + SMALL_RUNS)
+    ini.read_string(SMALL_RUNS[command].format(out=tmp_path / "out"))
     ini.read_string(line)
     with open(cfg, "w") as f:
         ini.write(f)
@@ -446,7 +436,8 @@ def test_dual_bound_slit_off_the_grid_is_config_error(tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize("budgets", ["", "0.03 0.06"])
 def test_budget_ladder_must_be_non_empty_and_decreasing(tmp_path, capsys, budgets):
-    cfg = cfg_with(tmp_path, "release_curve", f"budgets = {budgets}")
+    # the ladder is budgets alone: l_max and levels would be unread beside it
+    cfg, _ = write_cfg(tmp_path, FAMILY + f"\n[release_curve]\nbudgets = {budgets}\n")
     assert main(["release-curve", "--config", cfg]) == 2
     assert "[release_curve.budgets]" in capsys.readouterr().err
     assert not (tmp_path / "out" / "curve.csv").exists()
@@ -493,10 +484,12 @@ def test_output_file_name_taken_by_a_directory_is_config_error(tmp_path, capsys)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EXPERIMENTS = ("release_curve", "evolve", "dual_bound", "meyers_verify", "poincare", "classify")
-# the shipped configs at 16^2 and a few steps, so that each run takes milliseconds
-SHRINK = {("grid", "n"): "16", ("meyers_verify", "n"): "16", ("poincare", "resolution"): "8",
-          ("poincare", "samples"): "1", ("evolve", "steps"): "4", ("family", "stride"): "4"}
-CLASSIFY = BASE.replace("out = {out}", "") + """
+# the shipped configs at 32^2 and a few steps, so that each run takes milliseconds;
+# each still runs as it stands: dual_bound's ladder is cut to what 32^2 covers,
+# and meyers-verify and classify keep the grids that their fits resolve
+SHRINK = {("grid", "n"): "32", ("dual_bound", "lengths"): "6 3", ("poincare", "resolution"): "8",
+          ("poincare", "samples"): "1", ("evolve", "steps"): "4", ("family", "stride"): "8"}
+CLASSIFY = BASE.replace("out = {out}", "").replace("n = 32", "n = 128") + """
 [classify]
 probes = 0.5 0.5 ; 0.25 0.75
 margin = 0.1
@@ -513,11 +506,15 @@ def test_every_option_set_to_nan_zero_minus_one_or_x_fails_cleanly(tmp_path, cap
         ini.read_string(CLASSIFY)
     else:
         ini.read(CONFIGS / f"{name}.ini")
-    for (section, option), value in SHRINK.items():
-        if ini.has_option(section, option):
-            ini.set(section, option, value)
-    command = next(s for s in EXPERIMENTS if ini.has_section(s)).replace("_", "-")
+        for (section, option), value in SHRINK.items():
+            if ini.has_option(section, option):
+                ini.set(section, option, value)
     cfg = tmp_path / "mutant.ini"
+    with open(cfg, "w") as f:
+        ini.write(f)
+    command = shipped_command(cfg)
+    # a config that fails as it stands would pass the sweep below untested
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     failures = []
     for section in ini.sections():
         for option in ini.options(section):
@@ -537,3 +534,86 @@ def test_every_option_set_to_nan_zero_minus_one_or_x_fails_cleanly(tmp_path, cap
             ini.set(section, option, value)
     capsys.readouterr()
     assert not failures
+
+
+def shipped_command(path):
+    """The command of a shipped config, found as bench/configs.py finds it."""
+    ini = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    ini.read(path)
+    return next(s for s in EXPERIMENTS if ini.has_section(s)).replace("_", "-")
+
+
+def test_shipped_configs_run_with_out_and_seed(tmp_path):
+    # the benchmark runs each shipped config with both flags: the [run] out
+    # and seed that they override must not count as unread options
+    for path in sorted(CONFIGS.glob("*.ini")):
+        out = tmp_path / path.stem
+        assert main([shipped_command(path), "--config", str(path), "--out", str(out),
+                     "--seed", "0"]) == 0, path.name
+        assert any(out.glob("*.csv"))
+
+
+def with_line(path, section, line, tmp_path):
+    """A copy of the config at path with line added at the end of [section]."""
+    ini = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    ini.read(path)
+    if not ini.has_section(section):
+        ini.add_section(section)
+    option, _, value = line.partition(" = ")
+    ini.set(section, option, value)
+    copy = tmp_path / path.name
+    with open(copy, "w") as f:
+        ini.write(f)
+    return copy
+
+
+@pytest.mark.parametrize("config, section, line, named", [
+    # a misspelt steps ran the default 200 steps and exited 0
+    ("weak_evolve.ini", "evolve", "stpes = 5", "[evolve.stpes]"),
+    # the composite's K was read from [meyers_verify] only; this one changed nothing
+    ("meyers_verify.ini", "integrand", "K = 5", "[integrand.k]"),
+    # [release_curve] k and [evolve] k are the toughness; [run] toughness was overridden
+    ("release_curve.ini", "run", "toughness = 1.0", "[run.toughness]"),
+    ("weak_evolve.ini", "run", "toughness = 1.0", "[run.toughness]"),
+    ("meyers_evolve.ini", "run", "toughness = 3.6e-5", "[run.toughness]"),
+    ("dual_bound.ini", "run", "toughness = 1.0", "[run.toughness]"),
+    ("poincare_sweep.ini", "run", "tol = 1e-10", "[run.tol]"),
+])
+def test_option_the_command_does_not_read_is_config_error(tmp_path, capsys, monkeypatch,
+                                                          config, section, line, named):
+    for name in ("cli.solve", "cli.EnergyLandscape", "poincare.uniformity_sweep"):
+        monkeypatch.setattr(f"fracturelab.{name}", refuse)
+    cfg = with_line(CONFIGS / config, section, line, tmp_path)
+    out = tmp_path / "out"
+    assert main([shipped_command(cfg), "--config", str(cfg), "--out", str(out),
+                 "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "does not read it" in err and named in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("datum", ["kind = constant\nvalue = 1", "kind = affine\nbx = 1"])
+def test_datum_scale_is_read_only_by_the_kinds_it_scales(tmp_path, capsys, monkeypatch, datum):
+    # with kind = constant or affine, scale = 5 wrote the field of scale = 1
+    monkeypatch.setattr("fracturelab.cli.solve", refuse)
+    cfg = cfg_with(tmp_path, "solve", "datum", datum + "\nscale = 5")
+    assert main(["solve", "--config", cfg]) == 2
+    assert "[datum.scale]" in capsys.readouterr().err
+    assert not any((tmp_path / "out").iterdir())
+    cfg = cfg_with(tmp_path, "solve", "datum", datum)
+    with pytest.raises(Reached):
+        main(["solve", "--config", cfg])
+
+
+@pytest.mark.parametrize("lines, message, named", [
+    ("n = 16\nny = 20", "cells must be square", "[grid.ny]"),
+    ("n = 16\nny = 1", "need nx, ny >= 2", "[grid.ny]"),
+    ("n = 1\nny = 16", "need nx, ny >= 2", "[grid.n]"),
+    ("n = 1", "need nx, ny >= 2", "[grid.n]"),
+])
+def test_grid_error_names_the_option_at_fault(tmp_path, capsys, lines, message, named):
+    # a bad ny was reported as [grid.n]
+    cfg = cfg_with(tmp_path, "solve", "grid", lines)
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert message in err and named in err
