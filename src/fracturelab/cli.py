@@ -68,6 +68,17 @@ def _problem(cfg: ExperimentConfig):
     return cfg.build_grid(), cfg.build_integrand(), cfg.build_datum(), cfg.tol()
 
 
+def _ready(cfg: ExperimentConfig, out):
+    """Reject every option the command did not read, then make the output
+    directory: called after a command's last config check and before its
+    first solve, so a rejected config leaves nothing behind."""
+    cfg.reject_unread()
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory: {exc}", "run", "out") from None
+
+
 def _crack_file(cfg: ExperimentConfig, section, grid: Grid):
     """The crack of [section] crack_file, or None when none is given."""
     path = cfg.get(section, "crack_file", None)
@@ -86,7 +97,7 @@ def cmd_solve(cfg: ExperimentConfig, out, seed):
     grid, integrand, psi, tol = _problem(cfg)
     crack = _crack_file(cfg, "run", grid) or CrackSet(grid)
     k = cfg.get_bounded("run", "toughness", 1.0)
-    cfg.reject_unread()
+    _ready(cfg, out)
     field, rep = solve(grid, integrand, psi, crack, tol=tol)
     sf = stress(field)
 
@@ -145,7 +156,7 @@ def cmd_dual_bound(cfg: ExperimentConfig, out, seed):
                 cracks.append(CrackSet(grid, [("h", i0 + kk, j0) for kk in range(n)]))
             else:
                 cracks.append(CrackSet(grid, [("v", i0, j0 + kk) for kk in range(n)]))
-    cfg.reject_unread()
+    _ready(cfg, out)
 
     base_field, _ = solve(grid, integrand, psi, tol=tol)
     base_stress = stress(base_field)
@@ -186,12 +197,11 @@ def cmd_release_curve(cfg: ExperimentConfig, out, seed):
     if not all(0 < b < math.inf for b in budgets):     # an l_max ladder can underflow to 0
         raise ConfigError(f"every budget must be finite and > 0, got {budgets}",
                           "release_curve", option)
-    cfg.reject_unread()
+    if not budgets or sorted(budgets, reverse=True) != budgets:
+        raise ConfigError("budgets must be a non-empty decreasing list", "release_curve", option)
+    _ready(cfg, out)
     landscape = EnergyLandscape(grid, integrand, psi, tol=tol)
-    try:
-        curve = release_curve(landscape, family, budgets, k)
-    except ValueError as exc:
-        raise ConfigError(str(exc), "release_curve", "budgets") from None
+    curve = release_curve(landscape, family, budgets, k)
     rows = [(curve.budgets[i], curve.W[i], curve.rates[i], curve.argmin_ids[i],
              curve.totals[i]) for i in range(len(budgets))]
     report.write_csv(os.path.join(out, "curve.csv"),
@@ -218,7 +228,7 @@ def cmd_classify(cfg: ExperimentConfig, out, seed):
         probes.append(xy)
     margin = cfg.get_bounded("classify", "margin", 0.1, closed=True)
     crack = _crack_file(cfg, "classify", grid)
-    cfg.reject_unread()
+    _ready(cfg, out)
     field, _ = solve(grid, integrand, psi, crack, tol=tol)
     rep = classify(field, probes, margin=margin)
     rows = [(p.x, p.y, p.alpha, p.C, p.classification, p.delta) for p in rep.probes]
@@ -235,7 +245,7 @@ def cmd_evolve(cfg: ExperimentConfig, out, seed):
     k = cfg.get_bounded("evolve", "k", 1.0)
     horizon = cfg.get_bounded("evolve", "horizon")
     steps = cfg.get_count("evolve", "steps", 200)
-    cfg.reject_unread()
+    _ready(cfg, out)
     landscape = EnergyLandscape(grid, integrand, psi, tol=tol)
     traj = evolve(landscape, family, k, horizon, steps)
     rows = [(float(traj.t[j]), float(traj.h1[j]), float(traj.bulk[j]),
@@ -265,7 +275,7 @@ def cmd_poincare(cfg: ExperimentConfig, out, seed):
     resolution = cfg.get_count("poincare", "resolution", 48)
     check_cells(resolution * M, "poincare", "resolution")     # keeps ceil finite
     check_cells(resolution * math.ceil(resolution * M), "poincare", "resolution")  # a mesh
-    cfg.reject_unread()
+    _ready(cfg, out)
     sweep = uniformity_sweep(L, M, samples, case, nx=resolution, seed=seed)
     rows = [(case, L, M, idx, c, resolution) for idx, c in enumerate(sweep.constants)]
     report.write_csv(os.path.join(out, "poincare.csv"),
@@ -290,7 +300,7 @@ def cmd_meyers_verify(cfg: ExperimentConfig, out, seed):
         raise ConfigError(f"must be >= 2, got {n}", "meyers_verify", "n")
     check_cells(n * n, "meyers_verify", "n")
     tol = cfg.tol()
-    cfg.reject_unread()
+    _ready(cfg, out)
     domain = Domain.unit_square(dirichlet="all", centered=True)
     grid = Grid(domain, n)
     rows = []
@@ -338,10 +348,6 @@ def main(argv=None):
         cfg = load_config(args.config)
         out = cfg.out_dir(args.out)
         seed = cfg.seed(args.seed)
-        try:
-            os.makedirs(out, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot make the output directory: {exc}", "run", "out") from None
         try:
             COMMANDS[args.command](cfg, out, seed)
         except OSError as exc:  # past the crack file, a command's file I/O is its output

@@ -440,7 +440,7 @@ def test_budget_ladder_must_be_non_empty_and_decreasing(tmp_path, capsys, budget
     cfg, _ = write_cfg(tmp_path, FAMILY + f"\n[release_curve]\nbudgets = {budgets}\n")
     assert main(["release-curve", "--config", cfg]) == 2
     assert "[release_curve.budgets]" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "curve.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -459,9 +459,11 @@ def test_malformed_ini_is_config_error(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
 @pytest.mark.parametrize("flag", [True, False], ids=["--out", "run-out"])
-def test_output_path_through_a_file_is_config_error(tmp_path, capsys, flag, below):
+def test_output_path_through_a_file_is_config_error(tmp_path, capsys, monkeypatch, flag, below):
     # an existing file as the output directory ended in a FileExistsError
-    # traceback, a directory under it in a NotADirectoryError one (exit 1)
+    # traceback, a directory under it in a NotADirectoryError one (exit 1);
+    # the directory is made before the first solve, so no solve runs
+    monkeypatch.setattr("fracturelab.cli.solve", refuse)
     taken = tmp_path / "taken"
     taken.write_text("")
     out = taken / below if below else taken
@@ -584,12 +586,14 @@ def test_option_the_command_does_not_read_is_config_error(tmp_path, capsys, monk
     for name in ("cli.solve", "cli.EnergyLandscape", "poincare.uniformity_sweep"):
         monkeypatch.setattr(f"fracturelab.{name}", refuse)
     cfg = with_line(CONFIGS / config, section, line, tmp_path)
-    out = tmp_path / "out"
+    out = tmp_path / "runs" / "out"
     assert main([shipped_command(cfg), "--config", str(cfg), "--out", str(out),
                  "--seed", "0"]) == 2
     err = capsys.readouterr().err
     assert "does not read it" in err and named in err
-    assert not any(out.iterdir())
+    # the output directory, and the one above it, were made before the
+    # config was read, and an exit-2 rejection left them behind
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("datum", ["kind = constant\nvalue = 1", "kind = affine\nbx = 1"])
@@ -599,7 +603,7 @@ def test_datum_scale_is_read_only_by_the_kinds_it_scales(tmp_path, capsys, monke
     cfg = cfg_with(tmp_path, "solve", "datum", datum + "\nscale = 5")
     assert main(["solve", "--config", cfg]) == 2
     assert "[datum.scale]" in capsys.readouterr().err
-    assert not any((tmp_path / "out").iterdir())
+    assert not (tmp_path / "out").exists()
     cfg = cfg_with(tmp_path, "solve", "datum", datum)
     with pytest.raises(Reached):
         main(["solve", "--config", cfg])
@@ -617,3 +621,4 @@ def test_grid_error_names_the_option_at_fault(tmp_path, capsys, lines, message, 
     assert main(["solve", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert message in err and named in err
+    assert not (tmp_path / "out").exists()

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from fracturelab import solver
 from fracturelab.energy import laplace_integrand, meyers_integrand, ppower_integrand
 from fracturelab.errors import ConfigError, NoConvergence, SingularSystem
 from fracturelab.geometry import CrackSet, Domain, Grid, cut_grid
@@ -264,11 +265,26 @@ def test_report_counts_inner_cg_iterations(lr_domain):
     crack = vslit(grid, 32, 16, 16)
     _, rep = solve(grid, laplace_integrand(), linear_x, crack)
     assert rep.method == "cg" and rep.inner_iterations == rep.iterations
-    # the aggregation cycle keeps the Newton inner solves short (123 CG
-    # iterations here, warm start included); Jacobi PCG needs 1061
+    # the aggregation cycle and the forcing terms keep the Newton inner
+    # solves short (57 CG iterations here, warm start included; 123 at a
+    # fixed 1e-6); Jacobi PCG needs 1061
     _, rep = solve(grid, ppower_integrand(1.5), linear_x, crack)
     assert rep.method == "newton" and rep.iterations > 1
     assert rep.iterations < rep.inner_iterations <= 250
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_newton_forcing_terms_reach_the_energy_of_fixed_inner_solves(lr_domain, monkeypatch, p):
+    # the reference is the path before forcing terms: every Newton step
+    # solved to a relative residual of 1e-6 (the warm start's 1e-8 kept)
+    grid = Grid(lr_domain, 64)
+    crack = vslit(grid, 32, 16, 16)
+    _, forced = solve(grid, ppower_integrand(p), linear_x, crack)
+    pcg_at = solver.pcg
+    monkeypatch.setattr(solver, "pcg", lambda *a, tol, **k: pcg_at(*a, tol=min(tol, 1e-6), **k))
+    _, ref = solve(grid, ppower_integrand(p), linear_x, crack)
+    assert forced.bulk_energy == pytest.approx(ref.bulk_energy, rel=1e-12)
+    assert forced.inner_iterations < ref.inner_iterations
 
 
 def test_pcg_cap_follows_the_grid_width():
