@@ -36,11 +36,12 @@ from .errors import (
     SingularSystem,
     UnresolvableCover,
 )
-from .geometry import CrackSet, Domain, Grid, read_crack_file
+from .geometry import CrackSet, Domain, Grid, _snap_to_node, read_crack_file
+from .poincare import CASES, uniformity_sweep
 from .quasistatic import evolve, initiation_report, load_horizon
 from .search import EnergyLandscape, release_curve
 from .singularity import classify, meyers_gamma, meyers_profile
-from .solver import bulk_energy, solve, stress, total_energy
+from .solver import bulk_energy, solve, stress
 
 EXIT_CODES = [
     ((ConfigError,), 2),
@@ -118,8 +119,8 @@ def cmd_solve(cfg: ExperimentConfig, out, seed):
              for c in range(grid.n_cells)]
     report.write_csv(os.path.join(out, "stress.csv"),
                      ["cell_i", "cell_j", "sx", "sy"], srows, _grid_label(grid), seed)
-    print(f"solve: bulk={bulk_energy(field):.9g} "
-          f"total={total_energy(field, crack, k):.9g} "
+    print(f"solve: bulk={rep.bulk_energy:.9g} "
+          f"total={rep.bulk_energy + k * crack.h1():.9g} "
           f"iters={rep.iterations} residual={rep.residual:.3e} "
           f"div_res={sf.div_residual:.3e}")
 
@@ -140,11 +141,8 @@ def cmd_dual_bound(cfg: ExperimentConfig, out, seed):
         if not grid.domain.contains(*anchor):
             raise ConfigError(f"{anchor[0]:g} {anchor[1]:g} is outside the domain",
                               "dual_bound", "anchor")
-        fi = (anchor[0] - grid.domain.x0) / grid.h
-        fj = (anchor[1] - grid.domain.y0) / grid.h
-        i0, j0 = round(fi), round(fj)
-        snap = max(abs(fi - i0), abs(fj - j0)) * grid.h
-        if snap > 1e-6 * grid.h:        # the snap tolerance of read_crack_file
+        i0, j0, snap = _snap_to_node(grid, *anchor)
+        if snap:
             raise ConfigError(f"{anchor[0]:g} {anchor[1]:g} is off the grid's nodes by {snap:g}",
                               "dual_bound", "anchor")
         room = grid.nx - i0 if orient == "h" else grid.ny - j0
@@ -264,8 +262,6 @@ def cmd_evolve(cfg: ExperimentConfig, out, seed):
 
 
 def cmd_poincare(cfg: ExperimentConfig, out, seed):
-    from .poincare import CASES, uniformity_sweep
-
     case = cfg.get("poincare", "case", required=True)
     if case not in CASES:
         raise ConfigError(f"unknown case {case!r} (choose from {CASES})", "poincare", "case")

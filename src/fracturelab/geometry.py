@@ -243,11 +243,9 @@ class Grid:
 
 
 class CrackSet:
-    """Finite union of grid edges; equality and hashing use the edge set.
+    """Finite union of grid edges; equality and hashing use the edge set."""
 
-    A crack that effective_crack returned carries its cycle test and piece
-    labelling as _pieces until CutTopology.floating_dofs takes them.
-    """
+    __slots__ = ("grid", "edges")
 
     def __init__(self, grid: Grid, edges: Iterable[Edge] = ()):
         self.grid = grid
@@ -453,25 +451,13 @@ class CutTopology:
         lowest dof of each other diagonal component with none.  A crack that
         closes no cycle leaves one piece, whose diagonal components are the
         node parities, and dofs 0 and 1 are their lowest.
-
-        The cycle test and the labelling are those effective_crack left on
-        the crack, taken here so that no crack keeps them past its first
-        cut, and computed afresh otherwise.  For an effective crack that
-        dropped edges they label the pieces of the crack it was reduced
-        from: the dropped edges part only cells that no constrained dof
-        reaches, so the pieces that hold a constrained dof are the same, and
-        every other dof is pinned either way.
         """
-        pieces = vars(self.crack).pop("_pieces", None)
-        if pieces is None:
-            cycle = _closes_a_cycle(self.grid, self.crack.edges)
-            pieces = _cell_pieces(self.grid, self.crack.edges)[2:] if cycle else (1, None)
-        n, piece = pieces
-        if piece is None:
+        if not _closes_a_cycle(self.grid, self.crack.edges):
             i, j = self.grid.node_ij(constrained)
             has = np.zeros(2, dtype=bool)
             has[(i + j) % 2] = True
             return np.flatnonzero(~has) if has.any() else np.arange(self.n_dofs)
+        _, _, n, piece = _cell_pieces(self.grid, self.crack.edges)
         i, j = self.grid.node_ij(self.dof_node)
         label = np.empty(self.n_dofs, dtype=np.intp)    # 2 * piece + parity
         label[self.cell_dofs] = 2 * piece[:, None]
@@ -595,15 +581,10 @@ def effective_crack(grid: Grid, crack: CrackSet) -> CrackSet:
     floating cells and leaves the reached cells' dofs and the constrained
     dofs as they were: the bulk problem, its energy and its power are those
     of the crack.  Returns the crack itself when nothing can be dropped.
-
-    The cycle test and the piece labelling computed here stay on the crack
-    returned until its first cut, whose CutTopology.floating_dofs takes
-    them instead of repeating them.
     """
     if crack.grid is not grid and not _same_lattice(crack.grid, grid):
         raise NonConformingCrack("crack was built on a different grid")
     if not _closes_a_cycle(grid, crack.edges):
-        crack._pieces = (1, None)
         return crack
     nx, ny = grid.nx, grid.ny
     hcut, vcut, n, piece = _cell_pieces(grid, crack.edges)
@@ -619,15 +600,12 @@ def effective_crack(grid: Grid, crack: CrackSet) -> CrackSet:
     hkeep = hcut & (reached[:-1, 1:-1] | reached[1:, 1:-1] | dirichlet[:, :-1] | dirichlet[:, 1:])
     vkeep = vcut & (reached[1:-1, :-1] | reached[1:-1, 1:] | dirichlet[:-1, :] | dirichlet[1:, :])
     if np.count_nonzero(hkeep) + np.count_nonzero(vkeep) == len(crack):
-        eff = crack
-    else:
-        hj, hi = np.nonzero(hkeep)
-        vj, vi = np.nonzero(vkeep)
-        eff = CrackSet._checked(grid, frozenset(
-            [("h", i, j) for i, j in zip(hi.tolist(), hj.tolist())]
-            + [("v", i, j) for i, j in zip(vi.tolist(), vj.tolist())]))
-    eff._pieces = (n, piece)
-    return eff
+        return crack
+    hj, hi = np.nonzero(hkeep)
+    vj, vi = np.nonzero(vkeep)
+    return CrackSet._checked(grid, frozenset(
+        [("h", i, j) for i, j in zip(hi.tolist(), hj.tolist())]
+        + [("v", i, j) for i, j in zip(vi.tolist(), vj.tolist())]))
 
 
 # ---------------------------------------------------------------------------
@@ -857,10 +835,21 @@ def write_crack_file(path, crack: CrackSet):
         f.write("\n".join(lines) + ("\n" if lines else ""))
 
 
+def _snap_to_node(grid: Grid, x, y):
+    """The node (i, j) nearest (x, y), and by how far (x, y) misses it, the
+    larger of its axis offsets; that offset reads 0.0 within 1e-6 h, the
+    rounding of coordinates written in decimal.  A nan or infinite
+    coordinate raises ValueError or OverflowError."""
+    fi = (x - grid.domain.x0) / grid.h
+    fj = (y - grid.domain.y0) / grid.h
+    i, j = round(fi), round(fj)
+    offset = max(abs(fi - i), abs(fj - j)) * grid.h
+    return i, j, offset if offset > 1e-6 * grid.h else 0.0
+
+
 def read_crack_file(path, grid: Grid) -> CrackSet:
     """Parse a crack file, validating that every segment is a grid edge."""
     edges = []
-    tol = 1e-6 * grid.h
     with open(path, "r", encoding="utf-8") as f:
         for ln, raw in enumerate(f, 1):
             raw = raw.strip()
@@ -871,18 +860,12 @@ def read_crack_file(path, grid: Grid) -> CrackSet:
                 raise NonConformingCrack(f"{path}:{ln}: expected 'x0 y0 x1 y1'")
             try:
                 x0, y0, x1, y1 = map(float, parts)
-                fi0 = (x0 - grid.domain.x0) / grid.h
-                fj0 = (y0 - grid.domain.y0) / grid.h
-                fi1 = (x1 - grid.domain.x0) / grid.h
-                fj1 = (y1 - grid.domain.y0) / grid.h
-                i0, j0, i1, j1 = (round(v) for v in (fi0, fj0, fi1, fj1))
+                i0, j0, off0 = _snap_to_node(grid, x0, y0)
+                i1, j1, off1 = _snap_to_node(grid, x1, y1)
             except (ValueError, OverflowError):     # not a number, nan or inf
                 raise NonConformingCrack(f"{path}:{ln}: coordinates must be finite") from None
-            snap = max(
-                abs(fi0 - i0), abs(fj0 - j0), abs(fi1 - i1), abs(fj1 - j1)
-            ) * grid.h
-            if snap > tol:
-                raise NonConformingCrack(f"{path}:{ln}: endpoint off-grid by {snap:g}")
+            if off0 or off1:
+                raise NonConformingCrack(f"{path}:{ln}: endpoint off-grid by {max(off0, off1):g}")
             if (i0, j0) > (i1, j1):
                 i0, j0, i1, j1 = i1, j1, i0, j0
             if i1 == i0 + 1 and j1 == j0:

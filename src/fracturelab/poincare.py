@@ -37,8 +37,6 @@ class GraphDomain:
 
     profile_x: np.ndarray
     profile_f: np.ndarray
-    L: float
-    M: float
     nx: int
     ny: int
     scale: float = 1.0
@@ -57,7 +55,7 @@ class GraphDomain:
             raise ValueError(f"profile violates the Lipschitz bound L={L}")
         if ny is None:
             ny = int(math.ceil(nx * fs.max()))
-        return cls(xs, fs, L, M, nx, int(ny), scale)
+        return cls(xs, fs, nx, int(ny), scale)
 
     def node_coords(self):
         """Mapped mesh nodes (i + j*(nx+1) indexing)."""
@@ -195,13 +193,9 @@ def rigid_motion_basis(gd: GraphDomain):
 
 @dataclass
 class ConstantReport:
-    case: str
     C: float
-    extremal: np.ndarray
-    resolution: tuple
     iterations: int
     constraint_residual: float
-    domain: GraphDomain
 
 
 def _inverse_iteration(K, Mm, constraints):
@@ -284,7 +278,7 @@ def optimal_constant(gd: GraphDomain, case: str) -> ConstantReport:
         num = abs(c @ (Mm @ x))
         den = math.sqrt((c @ (Mm @ c)) * (x @ (Mm @ x)))
         resid = max(resid, num / den)
-    return ConstantReport(case, 1.0 / lam, x, (gd.nx, gd.ny), iters, resid, gd)
+    return ConstantReport(1.0 / lam, iters, resid)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +288,6 @@ def optimal_constant(gd: GraphDomain, case: str) -> ConstantReport:
 
 @dataclass
 class SweepReport:
-    case: str
-    L: float
-    M: float
     constants: list
     max_C: float
     max_first_half: float
@@ -332,5 +323,5 @@ def uniformity_sweep(L, M, samples: int, case: str, nx: int = 48,
     if not math.isfinite(max_c):
         raise EigenNoConvergence("sweep produced a non-finite constant")
     half = max(1, samples // 2)
-    return SweepReport(case, L, M, list(map(float, constants)), max_c,
+    return SweepReport(list(map(float, constants)), max_c,
                        float(arr[:half].max()))

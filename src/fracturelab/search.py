@@ -7,8 +7,7 @@ regions the datum cannot reach share one solve.  Next to each energy the
 cache keeps the crack's external power at unit datum, which
 quasistatic.evolve reads instead of solving.  Every reduction is a
 deterministic tolerance-then-enumeration-order argmin, and every batch is
-solved serially in enumeration order, each new crack right after its
-effective crack is found.
+solved serially in enumeration order.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyFamily, InvalidProbe
 from .geometry import CrackSet, Grid, cut_grid, effective_crack
-from .solver import ScalarField, _Uncracked, solve
+from .solver import ScalarField, _dirichlet_setup, _Uncracked, solve
 
 ARGMIN_RTOL = 1e-9
 
@@ -80,9 +79,7 @@ class EnergyLandscape:
         eff = self._effective.get(crack.edges) if crack.grid is self.grid else None
         if eff is None:
             eff = effective_crack(self.grid, crack)
-            # one object per class: a reduction to a class seen before drops
-            # the new object and the labelling it carries, which only a solve
-            # of the class takes (see geometry.effective_crack)
+            # also under its own edges, which solve_field(eff) looks up
             eff = self._effective.setdefault(eff.edges, eff)
             self._effective[crack.edges] = eff
         return eff
@@ -116,8 +113,7 @@ class EnergyLandscape:
         top = cut_grid(self.grid, crack)
         values = np.zeros(top.n_dofs)
         values[top.cell_dofs] = fld.values[fld.topology.cell_dofs]
-        constrained = top.constrained_dofs()
-        fixed = np.union1d(constrained, top.floating_dofs(constrained))
+        constrained, fixed, _ = _dirichlet_setup(top, self.psi)
         return ScalarField(top, fld.integrand, values, fld.psi, constrained, fixed)
 
     def _energy_and_power(self, crack):
@@ -137,8 +133,7 @@ class EnergyLandscape:
 
     def bulk_many(self, cracks):
         """Bulk energies of cracks, solving each uncached effective crack
-        once, right after finding it: its solve takes the cycle test and
-        labelling that geometry.effective_crack made."""
+        once."""
         return [self._energy_and_power(c)[0] for c in cracks]
 
 
@@ -151,7 +146,6 @@ class EnergyLandscape:
 class CrackFamily:
     """Finite enumerated family; member ids are enumeration indices."""
 
-    kind: str
     members: tuple
 
     def __len__(self):
@@ -180,7 +174,7 @@ def segments_family(grid: Grid, stride: int, lengths, orientations=("h", "v")) -
                     members.append(CrackSet(grid, edges))
     if not members:
         raise EmptyFamily("segments family enumerated to nothing")
-    return CrackFamily("segments", tuple(members))
+    return CrackFamily(tuple(members))
 
 
 def circle_crack(grid: Grid, center, r: float) -> CrackSet:
@@ -210,7 +204,7 @@ def circles_family(grid: Grid, center, radii) -> CrackFamily:
     members = [circle_crack(grid, center, r) for r in radii]
     if not members:
         raise EmptyFamily("circles family enumerated to nothing")
-    return CrackFamily("circles", tuple(members))
+    return CrackFamily(tuple(members))
 
 
 def boundary_debond_family(grid: Grid, spans) -> CrackFamily:
@@ -238,21 +232,21 @@ def boundary_debond_family(grid: Grid, spans) -> CrackFamily:
             uniq.append(c)
     if not uniq:
         raise EmptyFamily("boundary debond family enumerated to nothing")
-    return CrackFamily("boundary_debond", tuple(uniq))
+    return CrackFamily(tuple(uniq))
 
 
 def explicit_family(cracks) -> CrackFamily:
     cracks = tuple(cracks)
     if not cracks:
         raise EmptyFamily("explicit family is empty")
-    return CrackFamily("explicit", cracks)
+    return CrackFamily(cracks)
 
 
 def concat_families(*fams) -> CrackFamily:
     members = tuple(c for f in fams for c in f.members)
     if not members:
         raise EmptyFamily("concatenated family is empty")
-    return CrackFamily("+".join(f.kind for f in fams), members)
+    return CrackFamily(members)
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,6 @@ class ProbeReport:
 @dataclass
 class SingularityReport:
     probes: list
-    margin: float
 
     def classes(self):
         return [p.classification for p in self.probes]
@@ -105,7 +104,7 @@ def classify(field: ScalarField, probes, margin: float = DEFAULT_MARGIN) -> Sing
             cls = CRITICAL
         out.append(ProbeReport(float(pt[0]), float(pt[1]), radii, energies, alpha, C,
                                cls, delta))
-    return SingularityReport(out, margin)
+    return SingularityReport(out)
 
 
 # ---------------------------------------------------------------------------

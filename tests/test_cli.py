@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from fracturelab import errors
 from fracturelab.cli import main
 from fracturelab.errors import ConfigError
 
@@ -167,6 +168,49 @@ def test_crack_file_error_exit_3(tmp_path, capsys):
     cfg, _ = write_cfg(tmp_path, f"\n[dual_bound]\nm = 1\ncrack_file = {bad}\n")
     rc = main(["dual-bound", "--config", cfg])
     assert rc == 3
+    assert f"{bad}:1: endpoint off-grid by 0.01" in capsys.readouterr().err
+
+
+# the README's table: 2 config, 3 geometry, 4 solver, 5 dual construction,
+# 6 search/fit, 7 eigensolver, 8 other
+README_EXIT_CODES = {
+    "ConfigError": 2,
+    "NonConformingCrack": 3, "BudgetTooLarge": 3, "InvalidProbe": 3,
+    "SingularSystem": 4, "NoConvergence": 4,
+    "UnresolvableCover": 5, "CompatibilityViolated": 5, "ResidualTooLarge": 5,
+    "EmptyFamily": 6, "InsufficientData": 6, "RadiusUnresolvable": 6, "DegenerateFit": 6,
+    "EigenNoConvergence": 7,
+    "UnsupportedKind": 8, "FractureLabError": 8,
+}
+
+
+def test_the_exit_code_table_names_every_error_class():
+    assert set(README_EXIT_CODES) == {name for name, value in vars(errors).items()
+                                      if isinstance(value, type)
+                                      and issubclass(value, errors.FractureLabError)}
+
+
+@pytest.mark.parametrize("name, code", README_EXIT_CODES.items())
+def test_each_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch, name, code):
+    def fail(*args, **kwargs):
+        raise getattr(errors, name)("raised by the solve")
+
+    monkeypatch.setattr("fracturelab.cli.solve", fail)
+    cfg, _ = write_cfg(tmp_path)
+    assert main(["solve", "--config", cfg]) == code
+    assert "error: raised by the solve" in capsys.readouterr().err
+
+
+def test_probe_too_near_the_boundary_for_four_radii_exits_6(tmp_path, capsys):
+    # at 128^2 the radii above 2h from 0.1 off a side are 0.1, 0.05 and 0.025;
+    # the centre probe alone fits 0.25 to 0.03125
+    cfg = tmp_path / "classify.ini"
+    out = tmp_path / "out"
+    cfg.write_text(CLASSIFY.replace("0.25 0.75", "0.5 0.1"))
+    assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 6
+    assert "need >= 4 resolvable radii, got 3" in capsys.readouterr().err
+    cfg.write_text(CLASSIFY.replace(" ; 0.25 0.75", ""))
+    assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 CRACK_FILE_SECTIONS = [("solve", "run"), ("dual-bound", "dual_bound"), ("classify", "classify")]
@@ -583,7 +627,7 @@ def with_line(path, section, line, tmp_path):
 ])
 def test_option_the_command_does_not_read_is_config_error(tmp_path, capsys, monkeypatch,
                                                           config, section, line, named):
-    for name in ("cli.solve", "cli.EnergyLandscape", "poincare.uniformity_sweep"):
+    for name in ("cli.solve", "cli.EnergyLandscape", "cli.uniformity_sweep"):
         monkeypatch.setattr(f"fracturelab.{name}", refuse)
     cfg = with_line(CONFIGS / config, section, line, tmp_path)
     out = tmp_path / "runs" / "out"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracturelab import geometry, search
+from fracturelab import search
 from fracturelab.energy import laplace_integrand, meyers_integrand, ppower_integrand
 from fracturelab.errors import EmptyFamily, InvalidProbe, NonConformingCrack
 from fracturelab.geometry import (
@@ -302,6 +302,8 @@ def test_landscape_energies_and_fields_of_reduced_cracks_match_direct_solves(dir
         assert field.topology.n_dofs == direct.topology.n_dofs
         assert np.array_equal(field.topology.cell_dofs, direct.topology.cell_dofs)
         assert np.array_equal(field.constrained, direct.constrained)
+        assert np.array_equal(field.fixed, direct.fixed)
+        assert field.fixed.dtype == direct.fixed.dtype
         assert np.allclose(field.values, direct.values, rtol=0, atol=1e-8)
         assert bulk_energy(field) == land.bulk(crack)
     assert reduced >= 5
@@ -394,32 +396,23 @@ def test_the_kept_power_is_the_pairing_of_the_solved_field(p):
     assert powers[0] == powers[3] != powers[2]
 
 
-def test_a_new_cycle_closing_crack_is_labelled_once(monkeypatch):
-    # effective_crack's cycle test and labelling serve the crack's own solve
+def test_a_crack_keeps_no_state_past_its_solves():
+    # a crack is its grid and edges: solving cycle-closing, reduced and
+    # plain cracks leaves nothing on them, and none takes a new attribute
     grid = Grid(Domain.unit_square(dirichlet="all", centered=True), 32)
     land = EnergyLandscape(grid, laplace_integrand(), linear_x)
-    land.bulk()
-    calls = []
-
-    def counted(name):
-        fn = getattr(geometry, name)
-
-        def counting(*args):
-            calls.append(name)
-            return fn(*args)
-        return counting
-
-    for name in ("_closes_a_cycle", "_cell_pieces"):
-        monkeypatch.setattr(geometry, name, counted(name))
     a, b, c, d, e = (circle_crack(grid, (0.0, 0.0), r) for r in (0.06, 0.1, 0.15, 0.2, 0.25))
-    # each crack is new, and a union of nested circles is solved as the outer one
-    for solve_new, arg in ((land.bulk, b), (land.bulk, a.union(c)),
-                           (land.bulk_many, [d]), (land.bulk_many, [a.union(e)])):
-        calls.clear()
-        solve_new(arg)
-        assert calls.count("_closes_a_cycle") == 1
-        assert calls.count("_cell_pieces") <= 1
+    slit = CrackSet(grid, [("v", 16, j) for j in range(8, 24)])
+    cracks = [b, a.union(c), slit, d, a.union(e)]
+    land.bulk(b)
+    land.bulk(a.union(c))
+    land.bulk_many(cracks[2:])
+    fields = [land.solve_field(crack) for crack in cracks]
     assert land.effective(a.union(e)) == e
+    effective = [land.effective(crack) for crack in cracks]
+    for crack in cracks + effective + [f.crack for f in fields] + [land.empty_crack]:
+        with pytest.raises(AttributeError):
+            crack.labels = None
 
 
 def test_landscape_rejects_a_crack_from_another_lattice():
