@@ -27,7 +27,6 @@ from .geometry import (
     cover_crack,
     cut_grid,
     read_crack_file,
-    write_crack_file,
 )
 from .solver import (
     ScalarField,

@@ -168,29 +168,45 @@ class Integrand:
         return self.kind == QUADRATIC or self.p == 2.0
 
     # --- evaluation (x, y broadcastable arrays; xi shape (..., 2)) ----------
+    # Each evaluation at (x, y) is the *_of evaluation at coefficient(x, y),
+    # bit for bit; a caller that evaluates at the same points again and again
+    # (search.EnergyLandscape, at the cell centres) keeps that coefficient.
+
+    def coefficient(self, x, y):
+        """The coefficient at the points: c for the p-power kind, the
+        (..., 2, 2) matrix A for the quadratic kind."""
+        if self.kind == PPOWER:
+            return self.coeff.scalar(x, y)
+        return self.coeff.matrix(x, y)
 
     def eval_f(self, x, y, xi):
-        xi = np.asarray(xi, dtype=float)
-        if self.kind == PPOWER:
-            return self._ppower_f(self.coeff.scalar(x, y), _norm(xi))
-        A = self.coeff.matrix(x, y)
-        return np.einsum("...ij,...i,...j->...", A, xi, xi)
+        return self.f_of(self.coefficient(x, y), xi)
 
     def grad_f(self, x, y, xi):
-        xi = np.asarray(xi, dtype=float)
-        if self.kind == PPOWER:
-            return self._ppower_grad(self.coeff.scalar(x, y), _norm(xi), xi)
-        A = self.coeff.matrix(x, y)
-        return 2.0 * np.einsum("...ij,...j->...i", A, xi)
+        return self.grad_f_of(self.coefficient(x, y), xi)
 
     def eval_f_and_grad(self, x, y, xi):
         """(eval_f, grad_f) with one coefficient and one |xi| evaluation."""
         xi = np.asarray(xi, dtype=float)
+        c = self.coefficient(x, y)
         if self.kind == PPOWER:
-            c = self.coeff.scalar(x, y)
             norm = _norm(xi)
             return self._ppower_f(c, norm), self._ppower_grad(c, norm, xi)
-        return self.eval_f(x, y, xi), self.grad_f(x, y, xi)
+        return self.f_of(c, xi), self.grad_f_of(c, xi)
+
+    def f_of(self, c, xi):
+        """f at the coefficient c = coefficient(x, y)."""
+        xi = np.asarray(xi, dtype=float)
+        if self.kind == PPOWER:
+            return self._ppower_f(c, _norm(xi))
+        return np.einsum("...ij,...i,...j->...", c, xi, xi)
+
+    def grad_f_of(self, c, xi):
+        """grad f at the coefficient c = coefficient(x, y)."""
+        xi = np.asarray(xi, dtype=float)
+        if self.kind == PPOWER:
+            return self._ppower_grad(c, _norm(xi), xi)
+        return 2.0 * np.einsum("...ij,...j->...i", c, xi)
 
     def _ppower_f(self, c, norm):
         return c / self.p * norm ** self.p
@@ -236,15 +252,18 @@ class Integrand:
 
     def cell_metric(self, x, y):
         """M(x) with f(x, xi) = 1/2 xi . M xi, valid on quadratic-form paths."""
+        return self.metric_of(self.coefficient(x, y))
+
+    def metric_of(self, c):
+        """cell_metric at the coefficient c = coefficient(x, y)."""
         if not self.is_quadratic_form:
             raise UnsupportedKind("cell_metric needs a quadratic-form integrand")
         if self.kind == PPOWER:
-            c = self.coeff.scalar(x, y)
             M = np.zeros(c.shape + (2, 2))
             M[..., 0, 0] = c
             M[..., 1, 1] = c
             return M
-        return 2.0 * self.coeff.matrix(x, y)
+        return 2.0 * c
 
 
 def ppower_integrand(p, coeff=1.0):

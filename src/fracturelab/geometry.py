@@ -821,20 +821,6 @@ def cover_crack(crack: CrackSet, domain: Domain, m: int) -> Cover:
 # ---------------------------------------------------------------------------
 
 
-def write_crack_file(path, crack: CrackSet):
-    """One edge per line: x0 y0 x1 y1 (endpoint coordinates)."""
-    grid = crack.grid
-    lines = []
-    for e in crack.sorted_edges():
-        a, b = grid.edge_nodes(e)
-        xa, ya = grid.node_xy(np.array([a]))
-        xb, yb = grid.node_xy(np.array([b]))
-        lines.append(f"{float(xa[0])!r} {float(ya[0])!r} "
-                     f"{float(xb[0])!r} {float(yb[0])!r}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + ("\n" if lines else ""))
-
-
 def _snap_to_node(grid: Grid, x, y):
     """The node (i, j) nearest (x, y), and by how far (x, y) misses it, the
     larger of its axis offsets; that offset reads 0.0 within 1e-6 h, the

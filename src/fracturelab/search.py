@@ -5,9 +5,12 @@ and cached by effective edges (the part of a crack the Dirichlet datum
 reaches, see geometry.effective_crack), so cracks that differ only inside
 regions the datum cannot reach share one solve.  Next to each energy the
 cache keeps the crack's external power at unit datum, which
-quasistatic.evolve reads instead of solving.  Every reduction is a
-deterministic tolerance-then-enumeration-order argmin, and every batch is
-solved serially in enumeration order.
+quasistatic.evolve reads instead of solving.  A problem that both axis
+mirrors of the rectangle leave unchanged (the pull-apart square under the
+datum x, the centred composite) is solved once per mirror orbit: a crack
+whose mirror image is cached reads the image's energy and power.  Every
+reduction is a deterministic tolerance-then-enumeration-order argmin, and
+every batch is solved serially in enumeration order.
 """
 
 from __future__ import annotations
@@ -36,6 +39,69 @@ def argmin_with_tolerance(values):
 
 
 # ---------------------------------------------------------------------------
+# mirror symmetry
+# ---------------------------------------------------------------------------
+
+SYMMETRY_RTOL = 1e-14
+
+# the rectangle's mirror group less the identity, as (flip x, flip y)
+MIRRORS = ((True, False), (False, True), (True, True))
+
+
+def _mirror_group(grid: Grid, coefficient, psi):
+    """MIRRORS when both axis mirrors m of the rectangle keep the problem,
+    and () otherwise.  m keeps it when it maps the Dirichlet sides onto
+    themselves, keeps the coefficient at the cell centres (a matrix
+    conjugated by the reflection) to SYMMETRY_RTOL, and the datum at the
+    Dirichlet nodes has psi o m = psi or psi + psi o m = const to
+    SYMMETRY_RTOL of its largest magnitude.  A crack's image then has the
+    solution u o m or const - u o m, so the same energy and external power:
+    both integrand kinds are even in grad u, and the stress and grad v
+    change sign together.  The checks run in grid-index space.
+    """
+    part = grid.domain.dirichlet_part
+    nodes = grid.dirichlet_nodes()
+    if not len(nodes) or ("left" in part) != ("right" in part) or (
+            "bottom" in part) != ("top" in part):
+        return ()
+    x, y = grid.node_xy(nodes)
+    values = np.broadcast_to(np.asarray(psi(x, y), dtype=float), x.shape)
+    if not np.isfinite(values).all():
+        return ()
+    on = np.zeros((grid.ny + 1, grid.nx + 1), dtype=bool)     # [j, i] per node
+    on.flat[nodes] = True
+    datum = np.zeros(on.shape)
+    datum.flat[nodes] = values / (np.abs(values).max() or 1.0)
+    c = coefficient.reshape((grid.ny, grid.nx) + coefficient.shape[1:])
+    if c.ndim == 4:     # the reflection keeps a11 and a22 and flips the sign of a12
+        a11, a22 = c[..., 0, 0], c[..., 1, 1]
+        entries = ((a11, 1.0), (a22, 1.0), (c[..., 0, 1], -1.0))
+        size = np.maximum(np.abs(a11), np.abs(a22))
+    else:
+        entries = ((c, 1.0),)
+        size = np.abs(c)
+    for axis in (0, 1):         # rows flip in y, columns in x
+        if not all((np.abs(entry - sign * np.flip(entry, axis)) <= SYMMETRY_RTOL * size).all()
+                   for entry, sign in entries):
+            return ()
+        a, b = datum[on], np.flip(datum, axis)[on]
+        if not (np.abs(a - b).max() <= SYMMETRY_RTOL or np.ptp(a + b) <= SYMMETRY_RTOL):
+            return ()
+    return MIRRORS
+
+
+def _mirror_images(crack: CrackSet, group):
+    """The edge sets of crack's images under each (flip x, flip y) of group:
+    flipping x maps ("h", i, j), which joins nodes (i, j) and (i + 1, j), to
+    ("h", nx - 1 - i, j) and ("v", i, j) to ("v", nx - i, j); likewise y."""
+    nx, ny = crack.grid.nx, crack.grid.ny
+    for flip_x, flip_y in group:
+        yield frozenset((kind, nx - i - (kind == "h") if flip_x else i,
+                         ny - j - (kind == "v") if flip_y else j)
+                        for kind, i, j in crack.edges)
+
+
+# ---------------------------------------------------------------------------
 # the solve cache
 # ---------------------------------------------------------------------------
 
@@ -54,6 +120,14 @@ class EnergyLandscape:
     pairing it with any lift of the datum, because their difference is an
     admissible variation.
 
+    The inputs are checked once for the rectangle's mirror group
+    (_mirror_group).  When both axis mirrors keep the problem, an uncached
+    crack whose image under a mirror or the half-turn is cached reads that
+    image's energy and power, its own to the solver's tolerance; otherwise
+    every effective crack is solved.  solve_field solves the crack it is
+    given: no field is mirrored.  The coefficient at the cell centres is
+    evaluated once, for every solve, energy and power.
+
     The uncracked problem is solved before the first cracked candidate, for
     v.  Quadratic-form (p = 2) candidates are small perturbations of it, and
     the landscape keeps it (solver._Uncracked): each later candidate's CG
@@ -71,6 +145,10 @@ class EnergyLandscape:
         self._uncracked = _Uncracked()
         self._v_grad = None     # cell gradients of the uncracked unit field v
         self.empty_crack = CrackSet(grid)
+        # the coefficient at the cell centres, read by every solve, energy,
+        # power and by the symmetry check
+        self._coefficient = integrand.coefficient(*grid.cell_centers())
+        self._group = _mirror_group(grid, self._coefficient, psi)
 
     def effective(self, crack: CrackSet = None) -> CrackSet:
         """The effective crack of crack (geometry.effective_crack), memoised."""
@@ -86,7 +164,8 @@ class EnergyLandscape:
 
     def solve_field(self, crack: CrackSet = None):
         """Solve for one crack; its bulk energy and external power are
-        cached as by-products.
+        cached as by-products, unless the crack's class already has them
+        (from a mirror image).
 
         The effective crack is solved; a crack that differs from it gets the
         field lifted onto its own cut grid, cell corner by cell corner, which
@@ -102,12 +181,13 @@ class EnergyLandscape:
         if len(eff) and self._v_grad is None:
             self.bulk()
         fld, report = solve(self.grid, self.integrand, self.psi, eff, tol=self.tol,
-                            _uncracked=self._uncracked)
+                            _uncracked=self._uncracked, _coefficient=self._coefficient)
         if not len(eff):
             self._v_grad = fld.gradients()
-        sigma = self.integrand.grad_f(*self.grid.cell_centers(), fld.gradients())
-        self._solved[eff.edges] = (report.bulk_energy, self.grid.h ** 2 * float(
-            np.einsum("ci,ci->", sigma, self._v_grad)))
+        sigma = self.integrand.grad_f_of(self._coefficient, fld.gradients())
+        # a crack read from its image keeps the image's values
+        self._solved.setdefault(eff.edges, (report.bulk_energy, self.grid.h ** 2 * float(
+            np.einsum("ci,ci->", sigma, self._v_grad))))
         if len(eff) == len(crack):
             return fld
         top = cut_grid(self.grid, crack)
@@ -119,7 +199,12 @@ class EnergyLandscape:
     def _energy_and_power(self, crack):
         eff = self.effective(crack)
         if eff.edges not in self._solved:
-            self.solve_field(eff)
+            # a mirror image of the crack has its energy and power
+            image = next((e for e in _mirror_images(eff, self._group) if e in self._solved), None)
+            if image is None:
+                self.solve_field(eff)
+            else:
+                self._solved[eff.edges] = self._solved[image]
         return self._solved[eff.edges]
 
     def bulk(self, crack: CrackSet = None) -> float:

@@ -523,11 +523,6 @@ class ScalarField:
         mask[self.fixed] = False
         return np.nonzero(mask)[0]
 
-    def perturbed(self, delta):
-        """Copy with values + delta (delta must vanish on fixed dofs)."""
-        return ScalarField(self.topology, self.integrand, self.values + delta,
-                           self.psi, self.constrained, self.fixed)
-
 
 @dataclass
 class StressField:
@@ -596,15 +591,17 @@ def datum_scale(psi, grid: Grid):
 
 
 def solve(grid: Grid, integrand: Integrand, psi, crack: CrackSet = None,
-          tol: float = DEFAULT_TOL, *, _uncracked=None):
+          tol: float = DEFAULT_TOL, *, _uncracked=None, _coefficient=None):
     """Elastic solution for the datum psi on the cracked grid.
 
     Returns (ScalarField, SolveReport).  psi is a vectorized callable
     psi(x, y) evaluated on Dirichlet nodes (values elsewhere are ignored).
-    _uncracked (package-internal) is the _Uncracked of the landscape that
-    asks: it runs a quadratic-form solve (_Uncracked.solve), and newton
-    ignores it.  Without it a quadratic form is solved on Jacobi.  See the
-    module docstring.
+    _uncracked and _coefficient (package-internal) are kept by the landscape
+    that asks: its _Uncracked runs a quadratic-form solve
+    (_Uncracked.solve), which newton ignores, and its coefficient at the
+    cell centres (Integrand.coefficient) gives the metric and the bulk
+    energy.  Without _uncracked a quadratic form is solved on Jacobi.  See
+    the module docstring.
     """
     t0 = time.perf_counter()
     topology = cut_grid(grid, crack)
@@ -618,8 +615,9 @@ def solve(grid: Grid, integrand: Integrand, psi, crack: CrackSet = None,
     if integrand.is_quadratic_form:
         # the quadratic solve drops the metrics, referenced only there, before pcg
         quadratic = _solve_quadratic if _uncracked is None else _uncracked.solve
-        u, iters, res = quadratic(topology, integrand.cell_metric(*grid.cell_centers()),
-                                  u, free, tol)
+        u, iters, res = quadratic(
+            topology, integrand.cell_metric(*grid.cell_centers()) if _coefficient is None
+            else integrand.metric_of(_coefficient), u, free, tol)
         inner = iters
         method = "cg"
     else:
@@ -633,7 +631,7 @@ def solve(grid: Grid, integrand: Integrand, psi, crack: CrackSet = None,
         iterations=iters,
         inner_iterations=inner,
         residual=res,
-        bulk_energy=bulk_energy(field),
+        bulk_energy=bulk_energy(field, _coefficient),
         wall_time=time.perf_counter() - t0,
         method=method,
     )
@@ -986,11 +984,14 @@ def stress(field: ScalarField) -> StressField:
     return StressField(field, sigma, div_res, neu_res)
 
 
-def bulk_energy(field: ScalarField) -> float:
-    """Midpoint-quadrature bulk energy sum_c h^2 f(x_c, grad u|_c)."""
+def bulk_energy(field: ScalarField, coefficient=None) -> float:
+    """Midpoint-quadrature bulk energy sum_c h^2 f(x_c, grad u|_c); a caller
+    that keeps the integrand's coefficient at the cell centres passes it."""
     grid = field.grid
-    xc, yc = grid.cell_centers()
-    return grid.h ** 2 * float(np.sum(field.integrand.eval_f(xc, yc, field.gradients())))
+    integrand = field.integrand
+    if coefficient is None:
+        coefficient = integrand.coefficient(*grid.cell_centers())
+    return grid.h ** 2 * float(np.sum(integrand.f_of(coefficient, field.gradients())))
 
 
 def total_energy(field: ScalarField, crack: CrackSet, k: float) -> float:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fracturelab.geometry import CrackSet, Domain, Grid
+from fracturelab.search import EnergyLandscape
 
 
 @pytest.fixture
@@ -90,3 +91,18 @@ def random_crack(grid, rng):
             start = int(rng.integers(n))
             edges |= set(side[start:start + int(rng.integers(1, n + 1))])
     return CrackSet(grid, edges)
+
+
+def count_solves(monkeypatch, land=None):
+    """The cracks EnergyLandscape.solve_field is asked for from now on (by
+    land alone, if given)."""
+    solved = []
+    solve_field = EnergyLandscape.solve_field
+
+    def counting(self, crack=None):
+        if land is None or self is land:
+            solved.append(crack or self.empty_crack)
+        return solve_field(self, crack)
+
+    monkeypatch.setattr(EnergyLandscape, "solve_field", counting)
+    return solved

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from fracturelab import search
+from fracturelab import cli, search
 from fracturelab.config import load_config
 from fracturelab.energy import laplace_integrand, meyers_integrand, ppower_integrand
 from fracturelab.errors import InsufficientData
@@ -26,7 +26,7 @@ from fracturelab.search import (
 )
 from fracturelab.singularity import meyers_profile
 
-from conftest import linear_x
+from conftest import count_solves, linear_x
 
 
 def weak_landscape(n=48):
@@ -255,28 +255,43 @@ def test_load_horizon_constant_datum_infinite():
     assert math.isinf(hor.t_unit)
 
 
-# distinct effective cracks: a union of nested circles is solved as its outer
-# circle, so meyers_evolve needs its 5 circles and the empty crack
-@pytest.mark.parametrize("name, distinct", [("weak_evolve.ini", 37), ("meyers_evolve.ini", 6)])
+def shipped(name):
+    return os.path.join(os.path.dirname(__file__), "..", "configs", name)
+
+
+def assert_one_solve_per_orbit(solved, orbits):
+    # each solve is of a new effective crack, and no crack is solved once
+    # its mirror image is
+    assert len({c.edges for c in solved}) == orbits
+    assert len(solved) == orbits
+    assert len({frozenset([c.edges, *search._mirror_images(c, search.MIRRORS)])
+                for c in solved}) == orbits
+
+
+# one solve per mirror orbit of effective cracks: weak_evolve's 37 effective
+# cracks fall into 22 orbits under the square's mirrors; a union of nested
+# circles is solved as its outer circle, and each circle is its own image, so
+# meyers_evolve needs its 5 circles and the empty crack
+@pytest.mark.parametrize("name, distinct", [("weak_evolve.ini", 22), ("meyers_evolve.ini", 6)])
 def test_evolve_solves_each_crack_once(monkeypatch, name, distinct):
-    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
+    cfg = load_config(shipped(name))
     grid = cfg.build_grid()
     land = EnergyLandscape(grid, cfg.build_integrand(), cfg.build_datum(), tol=cfg.tol())
-    solved = []
     solve_field = EnergyLandscape.solve_field
-
-    def counting(self, crack=None):
-        solved.append((crack or self.empty_crack).edges)
-        return solve_field(self, crack)
-
-    monkeypatch.setattr(EnergyLandscape, "solve_field", counting)
+    solved = count_solves(monkeypatch)
     traj = evolve(land, cfg.build_family(grid), cfg.get_float("evolve", "k"),
                   cfg.get_float("evolve", "horizon"), cfg.get_int("evolve", "steps"))
-    assert len(set(solved)) == distinct
-    assert len(solved) == distinct
+    assert_one_solve_per_orbit(solved, distinct)
     # the stored displacement of a chosen crack is its unit-datum solve
     j = int(np.argmax(traj.h1))
     assert traj.h1[j] > 0
     v = solve_field(land, traj.cracks[j]).values
     assert np.array_equal(traj.displacement(j, land), traj.t[j] * v)
 
+
+def test_release_curve_solves_each_mirror_orbit_once(monkeypatch, tmp_path):
+    # the 81 effective cracks of the shipped release curve fall into 43 orbits
+    solved = count_solves(monkeypatch)
+    assert cli.main(["release-curve", "--config", shipped("release_curve.ini"),
+                     "--out", str(tmp_path)]) == 0
+    assert_one_solve_per_orbit(solved, 43)

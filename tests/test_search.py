@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from fracturelab import search
-from fracturelab.energy import laplace_integrand, meyers_integrand, ppower_integrand
+from fracturelab.energy import (
+    CheckerboardCoefficient,
+    ConstantMatrixCoefficient,
+    laplace_integrand,
+    meyers_integrand,
+    ppower_integrand,
+    quadratic_integrand,
+)
 from fracturelab.errors import EmptyFamily, InvalidProbe, NonConformingCrack
 from fracturelab.geometry import (
     CrackSet,
@@ -27,7 +34,7 @@ from fracturelab.search import (
 from fracturelab.singularity import meyers_profile
 from fracturelab.solver import bulk_energy, solve
 
-from conftest import linear_x, random_crack
+from conftest import count_solves, linear_x, random_crack
 
 
 def smooth_landscape(n=64):
@@ -431,3 +438,139 @@ def test_landscape_rejects_a_crack_from_another_lattice():
             land.bulk_many([foreign])
         with pytest.raises(NonConformingCrack):
             land.solve_field(foreign)
+
+
+# --- mirror images ----------------------------------------------------------------
+
+
+def images(crack):
+    return [CrackSet(crack.grid, edges) for edges in search._mirror_images(crack, search.MIRRORS)]
+
+
+def random_slit(grid, rng):
+    """A straight slit of 1 to nx / 2 edges anywhere on the grid, sides included."""
+    n = int(rng.integers(1, grid.nx // 2 + 1))
+    if rng.integers(2):
+        i, j = int(rng.integers(0, grid.nx + 1)), int(rng.integers(0, grid.ny - n + 1))
+        return CrackSet(grid, [("v", i, j + k) for k in range(n)])
+    i, j = int(rng.integers(0, grid.nx - n + 1)), int(rng.integers(0, grid.ny + 1))
+    return CrackSet(grid, [("h", i + k, j) for k in range(n)])
+
+
+@pytest.mark.parametrize("p, slits, power_rtol", [(2.0, 12, 1e-12), (3.0, 8, 1e-10)])
+def test_mirror_images_reuse_the_energy_and_power_of_direct_solves(monkeypatch, p, slits,
+                                                                   power_rtol):
+    # the pull-apart square is invariant under both mirrors: each slit is
+    # solved, its three images are read from it, and they agree with a
+    # landscape that solves every crack; powers agree to Newton's tolerance
+    grid = Grid(Domain.unit_square(dirichlet=("left", "right")), 64)
+    integrand = ppower_integrand(p)
+    land = EnergyLandscape(grid, integrand, linear_x)
+    direct = EnergyLandscape(grid, integrand, linear_x)
+    direct._group = ()
+    assert land._group == search.MIRRORS
+    solved = count_solves(monkeypatch, land)
+    rng = np.random.default_rng(5)
+    for _ in range(slits):
+        slit = random_slit(grid, rng)
+        land.bulk(slit)
+        for image in images(slit):
+            assert land.bulk(image) == pytest.approx(direct.bulk(image), rel=1e-12)
+            assert land.power(image) == pytest.approx(direct.power(image), rel=power_rtol)
+    assert len(solved) == 1 + slits
+
+
+def x2_plus_y(x, y):
+    return np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float)
+
+
+@pytest.mark.parametrize("dirichlet, integrand, psi", [
+    (("left", "right"), laplace_integrand(), x2_plus_y),
+    (("left",), laplace_integrand(), linear_x),
+    # four blocks a side: each mirror swaps the colours
+    (("left", "right"), ppower_integrand(2.0, CheckerboardCoefficient(1.0, 4.0, 0.25)), linear_x),
+    (("left", "right"), quadratic_integrand(ConstantMatrixCoefficient(2.0, 1.0, 0.5)), linear_x),
+], ids=["datum", "dirichlet", "checkerboard", "a12"])
+def test_asymmetric_problems_never_reuse(monkeypatch, dirichlet, integrand, psi):
+    grid = Grid(Domain.unit_square(dirichlet=dirichlet), 16)
+    land = EnergyLandscape(grid, integrand, psi)
+    assert land._group == ()
+    solved = count_solves(monkeypatch, land)
+    slit = CrackSet(grid, [("v", 5, j) for j in range(3, 9)])
+    land.bulk_many([slit] + images(slit))
+    assert len(solved) == 5
+
+
+def x_squared(x, y):
+    return np.asarray(x, dtype=float) ** 2
+
+
+@pytest.mark.parametrize("domain, integrand, psi", [
+    # the datum is read at the Dirichlet nodes only: x^2 there is 0 and 1
+    (Domain.unit_square(dirichlet=("left", "right")), laplace_integrand(), x_squared),
+    (Domain.unit_square(dirichlet="all", centered=True), meyers_integrand(3.0, "radial_stiff"),
+     meyers_profile(3.0, "radial_stiff")),
+    # three blocks a side: the mirrors keep the colours
+    (Domain.unit_square(dirichlet=("left", "right")),
+     ppower_integrand(3.0, CheckerboardCoefficient(1.0, 4.0, 1.0 / 3.0)), linear_x),
+    (Domain.unit_square(dirichlet=("left", "right")),
+     quadratic_integrand(ConstantMatrixCoefficient(2.0, 1.0)), linear_x),
+    (Domain.rectangle(0.0, 0.0, 2.0, 1.0, ("left", "right")), laplace_integrand(), linear_x),
+], ids=["datum", "meyers", "checkerboard", "diagonal", "2x1"])
+def test_symmetric_problems_detect_both_mirrors(monkeypatch, domain, integrand, psi):
+    grid = Grid(domain, 16)
+    land = EnergyLandscape(grid, integrand, psi)
+    assert land._group == search.MIRRORS
+    solved = count_solves(monkeypatch, land)
+    slit = CrackSet(grid, [("v", 5, j) for j in range(3, 6)])
+    bulks = land.bulk_many([slit] + images(slit))
+    assert len(solved) == 2
+    assert bulks[1:] == [bulks[0]] * 3
+
+
+def test_mirror_images_map_edges_to_edges():
+    # flipping the endpoints of each edge, on a rectangle of unequal sides
+    grid = Grid(Domain.rectangle(0.0, 0.0, 2.0, 1.0), 8, 4)
+    crack = CrackSet(grid, [("h", 0, 0), ("h", 2, 3), ("v", 8, 1), ("v", 3, 0)])
+    flipped = search._mirror_images(crack, search.MIRRORS)
+    for (flip_x, flip_y), edges in zip(search.MIRRORS, flipped):
+        def mirror(node):
+            i, j = grid.node_ij(node)
+            return grid.node_id(grid.nx - i if flip_x else i, grid.ny - j if flip_y else j)
+        ends = {frozenset(map(mirror, grid.edge_nodes(e))) for e in crack.edges}
+        assert {frozenset(grid.edge_nodes(e)) for e in edges} == ends
+        assert CrackSet(grid, edges).h1() == crack.h1()
+
+
+def todays_f_and_grad(integrand, x, y, xi):
+    """f and grad f evaluated as Integrand.eval_f and grad_f did when each
+    call evaluated the coefficient itself."""
+    if integrand.kind == "ppower":
+        c = integrand.coeff.scalar(x, y)
+        norm = np.sqrt(xi[..., 0] * xi[..., 0] + xi[..., 1] * xi[..., 1])
+        fac = np.power(norm, integrand.p - 2.0, out=np.zeros_like(norm), where=norm > 0.0)
+        return c / integrand.p * norm ** integrand.p, (c * fac)[..., None] * xi
+    A = integrand.coeff.matrix(x, y)
+    return (np.einsum("...ij,...i,...j->...", A, xi, xi),
+            2.0 * np.einsum("...ij,...j->...i", A, xi))
+
+
+@pytest.mark.parametrize("integrand", [laplace_integrand(), ppower_integrand(3.0),
+                                       meyers_integrand(3.0, "radial_stiff")])
+def test_the_kept_coefficient_gives_todays_energies_and_powers(integrand):
+    # a landscape evaluates its coefficient once; its energies and powers are
+    # those of evaluating it per call, bit for bit, and so are solve()'s
+    grid = Grid(Domain.unit_square(dirichlet="all", centered=True), 32)
+    psi = meyers_profile(3.0, "radial_stiff")
+    land = EnergyLandscape(grid, integrand, psi)
+    xc, yc = grid.cell_centers()
+    v = land.solve_field().gradients()
+    for crack in (land.empty_crack, circle_crack(grid, (0.0, 0.0), 0.2),
+                  CrackSet(grid, [("v", 10, j) for j in range(12, 20)])):
+        field = land.solve_field(crack)
+        f, sigma = todays_f_and_grad(integrand, xc, yc, field.gradients())
+        assert land.bulk(crack) == grid.h ** 2 * float(np.sum(f))
+        assert land.power(crack) == grid.h ** 2 * float(np.einsum("ci,ci->", sigma, v))
+        field, rep = solve(grid, integrand, psi, crack)
+        f, _ = todays_f_and_grad(integrand, xc, yc, field.gradients())
+        assert rep.bulk_energy == bulk_energy(field) == grid.h ** 2 * float(np.sum(f))
